@@ -26,6 +26,7 @@ from .model import build, load_checkpoint, save_checkpoint
 from .nn_core import Adam
 from .pulse_sim import add_noise, generate_dataset
 from .train_eval import (
+    check_class_count,
     evaluate,
     noise_sweep,
     run_ablation,
@@ -90,14 +91,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_checkpoint_for(path, ds):
+    """Load a checkpoint and refuse it if its class count differs from the data's."""
+    ck = load_checkpoint(path)
+    try:
+        check_class_count(ck.model, ds)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ck
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    if getattr(args, "norm", None):
-        cfg = cfgmod.apply_overrides(cfg, [f"model.norm={args.norm}"])
     train_cfg = cfgmod.train_config(cfg, seed=args.seed)
     train_ds = load_dataset(args.data)
     if args.resume:
-        ck = load_checkpoint(args.resume)
+        ck = _load_checkpoint_for(args.resume, train_ds)
         model = ck.model
         stats = ck.stats
         optimizer = Adam(
@@ -137,15 +146,13 @@ def cmd_train(args) -> int:
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     save_checkpoint(args.out, result.model, result.stats, meta, optimizer=result.optimizer)
-    if result.stats is not None:
-        result.stats.save(str(args.out) + ".stats")
     print(f"wrote {args.out} ({model.config.architecture}, scheme {model.config.scheme})")
     return 0
 
 
 def cmd_eval(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
     test_ds = load_dataset(args.data)
+    ck = _load_checkpoint_for(args.checkpoint, test_ds)
     report = evaluate(
         ck.model,
         test_ds,
@@ -221,7 +228,7 @@ def cmd_noise_sweep(args) -> int:
     test_ds = load_dataset(args.data)
     named = []
     for path in args.checkpoint:
-        ck = load_checkpoint(path)
+        ck = _load_checkpoint_for(path, test_ds)
         named.append((Path(path).stem, ck.model, ck.stats))
     seed = args.seed if args.seed is not None else cfgmod.train_config(cfg).seed
     rows = noise_sweep(named, test_ds, fractions=fractions, seed=seed)
@@ -253,12 +260,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="training dataset file")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--resume", default=None, help="continue training from a checkpoint")
-    p.add_argument(
-        "--norm",
-        choices=["none", "minmax", "minmax+perseq", "standardize", "discretize"],
-        default=None,
-        help="override the configured normalization scheme",
-    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -4,8 +4,7 @@ A pulse carries three attributes: PRI and PW in microseconds, RF in
 megahertz (file units; the rest of the package treats them as plain reals).
 Sequences are variable-length runs of pulses from a single emitter, already
 deinterleaved and time-ordered. A dataset is a labelled collection of such
-sequences together with recomputed per-attribute global min/max domains and
-per-class counts.
+sequences together with recomputed per-class counts.
 
 Dataset file format (UTF-8 text, one value row per pulse)::
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +32,7 @@ __all__ = [
     "NUM_ATTRIBUTES",
     "MIN_SEQ_LEN",
     "MAX_SEQ_LEN",
-    "Pulse",
     "PulseSequence",
-    "AttributeSequence",
     "Dataset",
     "DatasetFormatError",
     "load_dataset",
@@ -61,23 +57,6 @@ class DatasetFormatError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """One pulse descriptor: PRI, PW (microseconds) and RF (megahertz)."""
-
-    pri: float
-    pw: float
-    rf: float
-
-    def __post_init__(self) -> None:
-        for name in ATTRIBUTES:
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"pulse attribute {name} must be finite and > 0, got {v!r}")
-        if self.pw >= self.pri:
-            raise ValueError(f"pulse width {self.pw} must be smaller than PRI {self.pri}")
 
 
 def _validate_values(values: np.ndarray, *, where: str = "sequence") -> None:
@@ -122,18 +101,6 @@ class PulseSequence:
     def length(self) -> int:
         return len(self.values)
 
-    @property
-    def pulses(self) -> tuple[Pulse, ...]:
-        return tuple(Pulse(*row) for row in self.values)
-
-    def attribute(self, j: int) -> "AttributeSequence":
-        return AttributeSequence(values=self.values[:, j], attribute_id=j)
-
-    @classmethod
-    def from_pulses(cls, pulses, label: int) -> "PulseSequence":
-        rows = [(p.pri, p.pw, p.rf) for p in pulses]
-        return cls(np.array(rows, dtype=np.float64), label)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PulseSequence):
             return NotImplemented
@@ -143,24 +110,11 @@ class PulseSequence:
         return f"PulseSequence(T={self.length}, label={self.label})"
 
 
-@dataclass(frozen=True)
-class AttributeSequence:
-    """Single-attribute view of a pulse sequence (the j-th column)."""
-
-    values: np.ndarray
-    attribute_id: int
-
-    @property
-    def name(self) -> str:
-        return ATTRIBUTES[self.attribute_id]
-
-
 class Dataset:
     """Immutable collection of labelled pulse sequences.
 
-    `attribute_domains` (per-attribute global (min, max)) and `class_counts`
-    are always recomputed from the contained sequences, never trusted from
-    file headers.
+    `class_counts` is always recomputed from the contained sequences, never
+    trusted from file headers.
     """
 
     def __init__(self, sequences, num_classes: int):
@@ -179,14 +133,6 @@ class Dataset:
         self.num_classes = num_classes
         self.class_counts = counts
         self.class_counts.setflags(write=False)
-        if sequences:
-            stacked = np.concatenate([s.values for s in sequences], axis=0)
-            self.attribute_domains = tuple(
-                (float(stacked[:, j].min()), float(stacked[:, j].max()))
-                for j in range(NUM_ATTRIBUTES)
-            )
-        else:
-            self.attribute_domains = None
 
     @property
     def n(self) -> int:
@@ -244,7 +190,7 @@ def _parse_float(token: str, record: int, field: str) -> float:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file, recomputing domains and class counts.
+    """Read a dataset file, recomputing class counts.
 
     Sequence lengths below the nominal minimum of 7 load with a warning so
     degenerate inputs can be probed; lengths outside [1, 512] are errors.

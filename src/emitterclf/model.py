@@ -12,6 +12,16 @@ Four architectures share one interface:
 * ``stats_mlp``: an MLP over per-channel sequence minima and maxima
   (order-invariant summary features).
 
+The three recurrent architectures run one stacked-layer loop. Rows are
+sorted by valid length, an input adapter turns the (B, T, K) channels into
+the layer-0 kernel input (T, S, B, Din), the L layers run with dropout
+between them, and the readout takes the top layer's hidden states back to
+the original row order. The adapters are: one single-channel stream per
+stack (attribute-specific LSTM), the full channel vector as one stream
+(joint LSTM), and embedding lookup of the discretized attributes, whose
+gradient is layer 0's input gradient (GRU). `_RECURRENT` names each
+architecture's cell and the parameter suffixes in kernel argument order.
+
 Dropout is applied between stacked recurrent layers and before the final FC
 layer during training. Checkpoints store named float64 tensors plus the
 model config, the fitted domain stats, and optional optimizer state.
@@ -20,6 +30,7 @@ model config, the fitted domain stats, and optional optimizer state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -138,40 +149,38 @@ class SequenceClassifier:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def feature_width(self) -> int:
-        cfg = self.config
-        if cfg.architecture == "attribute_specific_lstm":
-            return cfg.channels * cfg.hidden
-        if cfg.architecture in ("joint_lstm", "gru_discretized"):
-            return cfg.hidden
-        return cfg.mlp_hidden[-1] if cfg.mlp_hidden else 2 * cfg.channels
+
+# Recurrent architectures: (cell, parameter suffixes in kernel argument
+# order). Layer l's tensors are named f"{cell}{l}.{suffix}". The kernels
+# are looked up by name in this module's globals at call time, so a
+# rebinding of `emitterclf.model.lstm_forward` (a tracer) takes effect.
+_RECURRENT = {
+    "attribute_specific_lstm": ("lstm", ("W", "U", "b")),
+    "joint_lstm": ("lstm", ("W", "U", "b")),
+    "gru_discretized": ("gru", ("W", "U_ru", "U_n", "b")),
+}
 
 
 def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
     """Create a classifier with deterministic initialization from `seed`."""
     rng = derive_rng(seed, "init")
     params: dict[str, np.ndarray] = {}
-    if cfg.architecture in ("attribute_specific_lstm", "joint_lstm"):
-        stacks = cfg.channels if cfg.architecture == "attribute_specific_lstm" else 1
-        din = 1 if cfg.architecture == "attribute_specific_lstm" else cfg.channels
+    if cfg.architecture in _RECURRENT:
+        cell, suffixes = _RECURRENT[cfg.architecture]
+        if cfg.architecture == "attribute_specific_lstm":
+            stacks, din = cfg.channels, 1
+        elif cfg.architecture == "joint_lstm":
+            stacks, din = 1, cfg.channels
+        else:
+            for j in cfg.gru_attributes:
+                params[f"emb{j}"] = init_embedding(cfg.bins, cfg.embed_dim, rng)
+            stacks, din = 1, len(cfg.gru_attributes) * cfg.embed_dim
+        init = init_lstm_params if cell == "lstm" else init_gru_params
         for layer in range(cfg.layers):
-            w, u, b = init_lstm_params(stacks, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
-            params[f"lstm{layer}.W"] = w
-            params[f"lstm{layer}.U"] = u
-            params[f"lstm{layer}.b"] = b
+            tensors = init(stacks, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
+            for suffix, t in zip(suffixes, tensors):
+                params[f"{cell}{layer}.{suffix}"] = t
         fc_in = stacks * cfg.hidden
-    elif cfg.architecture == "gru_discretized":
-        for j in cfg.gru_attributes:
-            params[f"emb{j}"] = init_embedding(cfg.bins, cfg.embed_dim, rng)
-        din = len(cfg.gru_attributes) * cfg.embed_dim
-        for layer in range(cfg.layers):
-            w, u_ru, u_n, b = init_gru_params(1, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
-            params[f"gru{layer}.W"] = w
-            params[f"gru{layer}.U_ru"] = u_ru
-            params[f"gru{layer}.U_n"] = u_n
-            params[f"gru{layer}.b"] = b
-        fc_in = cfg.hidden
     elif cfg.architecture == "stats_mlp":
         sizes = (2 * cfg.channels,) + cfg.mlp_hidden
         for i in range(len(cfg.mlp_hidden)):
@@ -187,13 +196,34 @@ def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
     return SequenceClassifier(config=cfg, params=params)
 
 
-def _grouped_input(cfg: ModelConfig, channels: np.ndarray) -> np.ndarray:
+def _recurrent_input(cfg: ModelConfig, p: dict, channels: np.ndarray) -> np.ndarray:
+    """Input adapter: (B, T, K) channels -> (T, S, B, Din) layer-0 input."""
+    if cfg.architecture == "gru_discretized":
+        if channels.dtype.kind not in "iu":
+            raise ValueError("gru_discretized expects integer (discretized) channels")
+        embedded = [embedding_forward(p[f"emb{j}"], channels[:, :, j]) for j in cfg.gru_attributes]
+        # (B, T, A*E) -> (T, 1, B, A*E)
+        return np.ascontiguousarray(np.concatenate(embedded, axis=2).transpose(1, 0, 2))[:, None]
+    if channels.shape[2] != cfg.channels:
+        raise ValueError(f"batch has {channels.shape[2]} channels, model expects {cfg.channels}")
     x = channels.astype(np.float64, copy=False)
     if cfg.architecture == "attribute_specific_lstm":
         # (B, T, K) -> (T, K, B, 1): one single-channel stream per stack
         return np.ascontiguousarray(x.transpose(1, 2, 0))[..., None]
     # (B, T, K) -> (T, 1, B, K)
     return np.ascontiguousarray(x.transpose(1, 0, 2))[:, None]
+
+
+def _recurrent_input_backward(cfg: ModelConfig, p: dict, ids: np.ndarray, dx, grads) -> None:
+    """Gradients of the adapter's own parameters from layer 0's input gradient."""
+    if cfg.architecture != "gru_discretized":
+        return
+    dx0 = dx[:, 0].transpose(1, 0, 2)  # (T, 1, B, A*E) -> (B, T, A*E)
+    e = cfg.embed_dim
+    for slot, j in enumerate(cfg.gru_attributes):
+        grads[f"emb{j}"] = embedding_backward(
+            p[f"emb{j}"], ids[:, :, j], dx0[:, :, slot * e : (slot + 1) * e]
+        )
 
 
 def _sort_by_length(batch: NormalizedBatch):
@@ -257,51 +287,16 @@ def forward(
     cfg = model.config
     p = model.params
     cache: dict = {}
-    if cfg.architecture in ("attribute_specific_lstm", "joint_lstm"):
-        if batch.channels.shape[2] != cfg.channels:
-            raise ValueError(
-                f"batch has {batch.channels.shape[2]} channels, model expects {cfg.channels}"
-            )
+    if cfg.architecture in _RECURRENT:
+        cell, suffixes = _RECURRENT[cfg.architecture]
+        kernel = globals()[f"{cell}_forward"]
         channels, lengths, kernel_lengths, order, inv = _sort_by_length(batch)
-        x = _grouped_input(cfg, channels)
+        h = _recurrent_input(cfg, p, channels)
         layer_caches = []
         drop_masks = []
-        h = x
         for layer in range(cfg.layers):
-            h, lc = lstm_forward(
-                p[f"lstm{layer}.W"], p[f"lstm{layer}.U"], p[f"lstm{layer}.b"], h, kernel_lengths
-            )
-            layer_caches.append(lc)
-            if layer < cfg.layers - 1:
-                h, dm = dropout(h, cfg.dropout, training, rng)
-                drop_masks.append(dm)
-        feats = _readout(cfg, h, lengths)[inv]
-        cache.update(
-            layer_caches=layer_caches,
-            drop_masks=drop_masks,
-            h_shape=h.shape,
-            lengths=lengths,
-            order=order,
-        )
-    elif cfg.architecture == "gru_discretized":
-        if batch.channels.dtype.kind not in "iu":
-            raise ValueError("gru_discretized expects integer (discretized) channels")
-        channels, lengths, kernel_lengths, order, inv = _sort_by_length(batch)
-        embedded = [embedding_forward(p[f"emb{j}"], channels[:, :, j]) for j in cfg.gru_attributes]
-        # (B, T, A*E) -> (T, 1, B, A*E)
-        x = np.ascontiguousarray(np.concatenate(embedded, axis=2).transpose(1, 0, 2))[:, None]
-        layer_caches = []
-        drop_masks = []
-        h = x
-        for layer in range(cfg.layers):
-            h, lc = gru_forward(
-                p[f"gru{layer}.W"],
-                p[f"gru{layer}.U_ru"],
-                p[f"gru{layer}.U_n"],
-                p[f"gru{layer}.b"],
-                h,
-                kernel_lengths,
-            )
+            params = [p[f"{cell}{layer}.{s}"] for s in suffixes]
+            h, lc = kernel(*params, h, kernel_lengths)
             layer_caches.append(lc)
             if layer < cfg.layers - 1:
                 h, dm = dropout(h, cfg.dropout, training, rng)
@@ -355,49 +350,19 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
     if cache["fc_drop"] is not None:
         dfeats = dfeats * cache["fc_drop"]
 
-    if cfg.architecture in ("attribute_specific_lstm", "joint_lstm"):
+    if cfg.architecture in _RECURRENT:
+        cell, suffixes = _RECURRENT[cfg.architecture]
+        kernel = globals()[f"{cell}_backward"]
         dfeats = dfeats[cache["order"]]
         dh_seq = _readout_backward(cfg, dfeats, cache["h_shape"], cache["lengths"])
         for layer in range(cfg.layers - 1, -1, -1):
-            dw, du, dbias, dx = lstm_backward(
-                p[f"lstm{layer}.W"],
-                p[f"lstm{layer}.U"],
-                p[f"lstm{layer}.b"],
-                cache["layer_caches"][layer],
-                dh_seq,
-            )
-            grads[f"lstm{layer}.W"] = dw
-            grads[f"lstm{layer}.U"] = du
-            grads[f"lstm{layer}.b"] = dbias
+            names = [f"{cell}{layer}.{s}" for s in suffixes]
+            *dparams, dx = kernel(*(p[n] for n in names), cache["layer_caches"][layer], dh_seq)
+            grads.update(zip(names, dparams))
             if layer > 0:
                 dm = cache["drop_masks"][layer - 1]
                 dh_seq = dx * dm if dm is not None else dx
-    elif cfg.architecture == "gru_discretized":
-        dfeats = dfeats[cache["order"]]
-        dh_seq = _readout_backward(cfg, dfeats, cache["h_shape"], cache["lengths"])
-        for layer in range(cfg.layers - 1, -1, -1):
-            dw, du_ru, du_n, dbias, dx = gru_backward(
-                p[f"gru{layer}.W"],
-                p[f"gru{layer}.U_ru"],
-                p[f"gru{layer}.U_n"],
-                p[f"gru{layer}.b"],
-                cache["layer_caches"][layer],
-                dh_seq,
-            )
-            grads[f"gru{layer}.W"] = dw
-            grads[f"gru{layer}.U_ru"] = du_ru
-            grads[f"gru{layer}.U_n"] = du_n
-            grads[f"gru{layer}.b"] = dbias
-            if layer > 0:
-                dm = cache["drop_masks"][layer - 1]
-                dh_seq = dx * dm if dm is not None else dx
-        dx0 = dx[:, 0].transpose(1, 0, 2)  # (T, 1, B, A*E) -> (B, T, A*E)
-        e = cfg.embed_dim
-        ids = cache["ids"]
-        for slot, j in enumerate(cfg.gru_attributes):
-            grads[f"emb{j}"] = embedding_backward(
-                p[f"emb{j}"], ids[:, :, j], dx0[:, :, slot * e : (slot + 1) * e]
-            )
+        _recurrent_input_backward(cfg, p, cache["ids"], dx, grads)
     elif cfg.architecture == "stats_mlp":
         dh = dfeats
         for i in range(len(cfg.mlp_hidden) - 1, -1, -1):
@@ -464,27 +429,68 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read a checkpoint, refusing one whose tensors do not fit its config.
+
+    The tensors must carry exactly the names and shapes `build(config)`
+    gives, plus `adam.m.<name>` and `adam.v.<name>` per parameter when
+    optimizer state was saved, and the payload must hold exactly their
+    bytes. Every refusal is a ValueError naming the path.
+    """
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("utf-8").rstrip("\n")
+        magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path}: not an emitterclf checkpoint (header {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
-        data_line = fh.readline().decode("utf-8").split()
-        if len(data_line) != 2 or data_line[0] != "data":
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            cfg = ModelConfig.from_dict(header["config"])
+            entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+            stats = DomainStats.from_dict(header["stats"]) if header["stats"] is not None else None
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from None
+        data_line = fh.readline().decode("utf-8", errors="replace").split()
+        if len(data_line) != 2 or data_line[0] != "data" or not data_line[1].isdigit():
             raise ValueError(f"{path}: malformed data length line")
-        payload = fh.read(int(data_line[1]))
+        declared = int(data_line[1])
+        payload = fh.read()
+
+    expected = {n: t.shape for n, t in build(cfg, seed=0).params.items()}
+    if header.get("adam_t") is not None:
+        for n, shape in list(expected.items()):
+            expected[f"adam.m.{n}"] = shape
+            expected[f"adam.v.{n}"] = shape
+    shapes = dict(entries)
+    if len(shapes) != len(entries):
+        raise ValueError(f"{path}: duplicate tensor names in the header")
+    for name, shape in entries:
+        if name not in expected:
+            raise ValueError(f"{path}: unexpected tensor {name!r}")
+        if shape != expected[name]:
+            raise ValueError(
+                f"{path}: tensor {name!r} has shape {shape}, the config needs {expected[name]}"
+            )
+    missing = sorted(expected.keys() - shapes.keys())
+    if missing:
+        raise ValueError(f"{path}: missing tensor {missing[0]!r}")
+    needed = sum(8 * math.prod(shape) for _, shape in entries)
+    if declared != needed:
+        raise ValueError(f"{path}: data line declares {declared} bytes, the tensors need {needed}")
+
     tensors: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+    for name, shape in entries:
+        size = math.prod(shape)
+        if offset + 8 * size > len(payload):
+            raise ValueError(
+                f"{path}: truncated inside tensor {name!r} "
+                f"(payload has {len(payload)} of {declared} bytes)"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
-        offset += size * 8
-    cfg = ModelConfig.from_dict(header["config"])
+        tensors[name] = arr.reshape(shape).astype(np.float64)
+        offset += 8 * size
+    if len(payload) != offset:
+        raise ValueError(f"{path}: {len(payload) - offset} bytes after the last tensor")
     params = {n: t for n, t in tensors.items() if not n.startswith("adam.")}
     opt_tensors = {n: t for n, t in tensors.items() if n.startswith("adam.")}
-    stats = DomainStats.from_dict(header["stats"]) if header["stats"] is not None else None
     return CheckpointData(
         model=SequenceClassifier(config=cfg, params=params),
         stats=stats,

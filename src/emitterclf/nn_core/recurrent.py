@@ -87,13 +87,13 @@ def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U, b
 
 
-def lstm_forward(W, U, b, x, lengths=None, h0=None, c0=None):
-    """Run the LSTM over a right-padded batch.
+def lstm_forward(W, U, b, x, lengths=None):
+    """Run the LSTM over a right-padded batch from a zero initial state.
 
     x: (T, S, B, Din); lengths: (B,) valid lengths sorted non-increasing, or
-    None for a fully rectangular batch; h0/c0: (S, B, H) initial state or
-    None (zeros). Returns (h_seq, cache) where h_seq is (T, S, B, H) with
-    the state carried unchanged past each sequence's valid length.
+    None for a fully rectangular batch. Returns (h_seq, cache) where h_seq
+    is (T, S, B, H) with the state carried unchanged past each sequence's
+    valid length.
     """
     T, S, B, Din = x.shape
     H = U.shape[1]
@@ -102,8 +102,8 @@ def lstm_forward(W, U, b, x, lengths=None, h0=None, c0=None):
     c_seq = np.empty((T, S, B, H))
     tanh_c = np.empty((T, S, B, H))
     h_seq = np.empty((T, S, B, H))
-    h = np.zeros((S, B, H)) if h0 is None else h0.copy()
-    c = np.zeros((S, B, H)) if c0 is None else c0.copy()
+    h = np.zeros((S, B, H))
+    c = np.zeros((S, B, H))
     h_init, c_init = h.copy(), c.copy()
     for t in range(T):
         n = int(active[t])
@@ -184,7 +184,7 @@ def init_gru_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U_ru, U_n, b
 
 
-def gru_forward(W, U_ru, U_n, b, x, lengths=None, h0=None):
+def gru_forward(W, U_ru, U_n, b, x, lengths=None):
     """Run the GRU over a right-padded batch; mirrors lstm_forward."""
     T, S, B, Din = x.shape
     H = U_n.shape[1]
@@ -192,7 +192,7 @@ def gru_forward(W, U_ru, U_n, b, x, lengths=None, h0=None):
     gates = _input_transform(x, W, b)
     rh_seq = np.empty((T, S, B, H))
     h_seq = np.empty((T, S, B, H))
-    h = np.zeros((S, B, H)) if h0 is None else h0.copy()
+    h = np.zeros((S, B, H))
     h_init = h.copy()
     for t in range(T):
         n = int(active[t])

@@ -65,36 +65,6 @@ class DomainStats:
             stds=np.asarray(d["stds"], dtype=np.float64),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# emitter-domain-stats v1\n")
-            for j, name in enumerate(ATTRIBUTES):
-                fh.write(
-                    f"attr {name} min {self.mins[j]:.17g} max {self.maxs[j]:.17g} "
-                    f"mean {self.means[j]:.17g} std {self.stds[j]:.17g}\n"
-                )
-
-    @classmethod
-    def load(cls, path) -> "DomainStats":
-        mins = np.empty(NUM_ATTRIBUTES)
-        maxs = np.empty(NUM_ATTRIBUTES)
-        means = np.empty(NUM_ATTRIBUTES)
-        stds = np.empty(NUM_ATTRIBUTES)
-        seen = set()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts or parts[0] != "attr":
-                    continue
-                j = ATTRIBUTES.index(parts[1])
-                kv = dict(zip(parts[2::2], parts[3::2]))
-                mins[j], maxs[j] = float(kv["min"]), float(kv["max"])
-                means[j], stds[j] = float(kv["mean"]), float(kv["std"])
-                seen.add(j)
-        if seen != set(range(NUM_ATTRIBUTES)):
-            raise ValueError(f"{path}: incomplete domain stats file")
-        return cls(mins, maxs, means, stds)
-
 
 def fit_domain_stats(train: Dataset) -> DomainStats:
     """Exact per-attribute min/max/mean/std over all training pulses."""

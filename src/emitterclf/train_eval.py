@@ -47,6 +47,7 @@ __all__ = [
     "train",
     "EvalReport",
     "classification_report",
+    "check_class_count",
     "evaluate",
     "ABLATION_CELLS",
     "BASELINE_METHODS",
@@ -223,6 +224,15 @@ def classification_report(truths, preds, num_classes: int):
     return macro, per_class, confusion
 
 
+def check_class_count(model: SequenceClassifier, ds: Dataset) -> None:
+    """Refuse a dataset whose declared class count differs from the model's."""
+    if model.config.num_classes != ds.num_classes:
+        raise ValueError(
+            f"model has {model.config.num_classes} classes "
+            f"but the dataset declares {ds.num_classes}"
+        )
+
+
 def evaluate(
     model: SequenceClassifier,
     test_ds: Dataset,
@@ -232,6 +242,7 @@ def evaluate(
     batch_size: int = 256,
 ) -> EvalReport:
     """Inference-mode predictions for every sequence, macro-averaged."""
+    check_class_count(model, test_ds)
     mcfg = model.config
     normalized = _normalize_all(test_ds, stats, mcfg.scheme, mcfg.bins)
     preds = np.empty(len(normalized), dtype=np.int64)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from emitterclf.cli import main
-from emitterclf.data_model import load_dataset
-from emitterclf.model import load_checkpoint
+from emitterclf.data_model import Dataset, load_dataset, save_dataset
+from emitterclf.model import ModelConfig, build, load_checkpoint, save_checkpoint
+from emitterclf.normalize import fit_domain_stats
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MICRO = str(CONFIGS / "micro.cfg")
@@ -94,7 +95,6 @@ def test_train_eval_round_trip(tmp_path, sep_cfg, capsys):
     rep = tmp_path / "rep"
     assert main(["gen", "--config", sep_cfg, "--out", str(data)]) == 0
     assert main(["train", "--config", sep_cfg, "--data", str(data), "--out", str(ckpt)]) == 0
-    assert Path(str(ckpt) + ".stats").exists()
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out-dir", str(rep)]) == 0
     printed = capsys.readouterr().out
     assert "macro_accuracy 1.000000" in printed
@@ -281,9 +281,71 @@ def test_train_norm_flag_overrides_scheme(tmp_path, sep_cfg):
     rc = main(
         [
             "train", "--config", sep_cfg, "--data", str(data), "--out", str(ckpt),
-            "--norm", "minmax", "--set", "train.epochs=1",
+            "--set", "model.norm=minmax", "--set", "train.epochs=1",
         ]
     )
     assert rc == 0
     ck = load_checkpoint(ckpt)
     assert ck.model.config.scheme == "minmax"
+
+
+def _micro_inputs(tmp_path, data_classes=3, model_classes=3):
+    """A micro dataset declaring `data_classes`, an untrained model and its stats."""
+    src = tmp_path / "micro.ds"
+    main(["gen", "--config", MICRO, "--out", str(src)])
+    ds = load_dataset(src)
+    data = tmp_path / "d.ds"
+    save_dataset(Dataset(ds.sequences, data_classes), data)
+    cfg = ModelConfig(
+        architecture="attribute_specific_lstm",
+        scheme="minmax+perseq",
+        num_classes=model_classes,
+        hidden=4,
+        layers=1,
+    )
+    model = build(cfg, seed=0)
+    return data, model, fit_domain_stats(ds)
+
+
+def _checkpoint_args(command, ckpt, data, out):
+    if command == "train":
+        return ["train", "--config", MICRO, "--data", str(data), "--out", str(out), "--resume", str(ckpt)]
+    return [command, "--checkpoint", str(ckpt), "--data", str(data), "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-sweep", "train"])
+@pytest.mark.parametrize("model_classes,data_classes", [(3, 5), (5, 3)])
+def test_class_count_mismatch_refused(tmp_path, capsys, command, model_classes, data_classes):
+    data, model, stats = _micro_inputs(tmp_path, data_classes, model_classes)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, stats)
+    capsys.readouterr()
+    assert main(_checkpoint_args(command, ckpt, data, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    assert f"model has {model_classes} classes but the dataset declares {data_classes}" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-sweep"])
+def test_eval_refuses_truncated_checkpoint(tmp_path, capsys, command):
+    data, model, stats = _micro_inputs(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, stats)
+    ckpt.write_bytes(ckpt.read_bytes()[:-20])  # cut inside the last tensor by name, lstm0.b
+    capsys.readouterr()
+    assert main(_checkpoint_args(command, ckpt, data, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    assert "truncated inside tensor 'lstm0.b'" in err
+
+
+def test_eval_refuses_wrong_shape_tensor(tmp_path, capsys):
+    data, model, stats = _micro_inputs(tmp_path)
+    model.params["lstm0.U"] = model.params["lstm0.U"][:, :3]
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, stats)
+    capsys.readouterr()
+    assert main(_checkpoint_args("eval", ckpt, data, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    assert "tensor 'lstm0.U' has shape (6, 3, 16), the config needs (6, 4, 16)" in err

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from emitterclf.data_model import (
     Dataset,
     DatasetFormatError,
-    Pulse,
     PulseSequence,
     dataset_fingerprint,
     load_dataset,
@@ -19,13 +18,18 @@ from conftest import make_sequence
 
 
 def test_pulse_invariants():
-    Pulse(pri=100.0, pw=1.0, rf=9000.0)
-    with pytest.raises(ValueError):
-        Pulse(pri=100.0, pw=100.0, rf=9000.0)  # pw must stay below pri
-    with pytest.raises(ValueError):
-        Pulse(pri=-1.0, pw=0.5, rf=9000.0)
-    with pytest.raises(ValueError):
-        Pulse(pri=float("nan"), pw=0.5, rf=9000.0)
+    row = [100.0, 1.0, 9000.0]
+    PulseSequence(np.array([row] * 7), 0)
+    bad_pulses = [
+        ([100.0, 100.0, 9000.0], "pw >= pri at pulse 2"),  # pw must stay below pri
+        ([-1.0, 0.5, 9000.0], "non-positive pri at pulse 2"),
+        ([float("nan"), 0.5, 9000.0], "non-finite pri at pulse 2"),
+    ]
+    for bad, message in bad_pulses:
+        values = np.array([row] * 7)
+        values[2] = bad
+        with pytest.raises(ValueError, match=message):
+            PulseSequence(values, 0)
 
 
 def test_sequence_validation_names_field_and_pulse():
@@ -50,11 +54,6 @@ def test_sequence_length_limits():
 def test_dataset_counts_and_domains(small_dataset):
     assert small_dataset.n == 12
     assert list(small_dataset.class_counts) == [4, 4, 4]
-    stacked = np.concatenate([s.values for s in small_dataset.sequences])
-    for j in range(3):
-        lo, hi = small_dataset.attribute_domains[j]
-        assert lo == stacked[:, j].min()
-        assert hi == stacked[:, j].max()
 
 
 def test_dataset_rejects_bad_labels():
@@ -87,7 +86,6 @@ def test_empty_dataset_header_only(tmp_path):
     assert path.read_text() == "# emitter-dataset v1\nclasses 17\n"
     loaded = load_dataset(path)
     assert loaded.n == 0 and loaded.num_classes == 17
-    assert loaded.attribute_domains is None
 
 
 def test_single_record_file_shape(tmp_path):

@@ -173,7 +173,12 @@ def test_batch_equals_single_forward(small_dataset, arch, scheme):
 
 @pytest.mark.parametrize(
     "arch,scheme",
-    [("attribute_specific_lstm", "minmax+perseq"), ("gru_discretized", "discretize")],
+    [
+        ("attribute_specific_lstm", "minmax+perseq"),
+        ("gru_discretized", "discretize"),
+        ("joint_lstm", "minmax"),
+        ("stats_mlp", "minmax"),
+    ],
 )
 def test_padding_never_changes_logits(small_dataset, arch, scheme):
     cfg = _cfg(architecture=arch, scheme=scheme, bins=16)
@@ -196,19 +201,27 @@ def test_padding_never_changes_logits(small_dataset, arch, scheme):
     assert np.array_equal(logits, logits_padded)
 
 
-def _model_gradcheck(cfg, ds, seed, tol=1e-4):
-    """End-to-end finite-difference check of every parameter tensor."""
+def _model_gradcheck(cfg, ds, seed, tol=1e-4, training=False):
+    """End-to-end finite-difference check of every parameter tensor.
+
+    In training mode the dropout rng is re-derived for every forward pass,
+    so each loss evaluation applies the same dropout masks.
+    """
     stats = fit_domain_stats(ds)
     model = build(cfg, seed=seed)
     batch = _batch(ds, cfg, stats)
     weights = np.ones(cfg.num_classes)
 
+    def run():
+        rng = derive_rng(seed, "dropout") if training else None
+        return forward(model, batch, training=training, rng=rng)
+
     def loss():
-        logits, _ = forward(model, batch)
+        logits, _ = run()
         l, _ = weighted_cross_entropy(softmax(logits), batch.labels, weights)
         return l
 
-    logits, cache = forward(model, batch)
+    logits, cache = run()
     _, dlogits = weighted_cross_entropy(softmax(logits), batch.labels, weights)
     grads = backward(model, cache, dlogits)
     assert set(grads) == set(model.params)
@@ -247,6 +260,22 @@ def test_end_to_end_gradients_mean_readout():
     ds = _tiny_dataset()
     cfg = _cfg(hidden=3, readout="mean")
     _model_gradcheck(cfg, ds, seed=7)
+
+
+_GRADCHECK_CONFIGS = {
+    "attribute_specific_lstm": dict(scheme="minmax+perseq", hidden=3),
+    "joint_lstm": dict(scheme="minmax", hidden=3),
+    "gru_discretized": dict(scheme="discretize", bins=8, embed_dim=3, hidden=3),
+    "stats_mlp": dict(scheme="minmax", mlp_hidden=(5, 4)),
+}
+
+
+@pytest.mark.parametrize("arch", list(_GRADCHECK_CONFIGS))
+def test_end_to_end_gradients_with_dropout(arch):
+    """Training mode: inter-layer and pre-FC dropout masks enter backward."""
+    ds = _tiny_dataset()
+    cfg = _cfg(architecture=arch, layers=2, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
+    _model_gradcheck(cfg, ds, seed=14, training=True)
 
 
 def test_gru_uses_requested_attributes(small_dataset):

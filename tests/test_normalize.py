@@ -212,14 +212,3 @@ def test_build_batch_padding_and_mask(small_dataset):
         assert mask[b, : ns.valid_length].all()
         assert not mask[b, ns.valid_length :].any()
         assert np.all(batch.channels[b, ns.valid_length :] == 0.0)
-
-
-def test_domain_stats_save_load(tmp_path, small_dataset):
-    stats = fit_domain_stats(small_dataset)
-    path = tmp_path / "stats.txt"
-    stats.save(path)
-    loaded = DomainStats.load(path)
-    assert np.array_equal(loaded.mins, stats.mins)
-    assert np.array_equal(loaded.maxs, stats.maxs)
-    assert np.array_equal(loaded.means, stats.means)
-    assert np.array_equal(loaded.stds, stats.stds)

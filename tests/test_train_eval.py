@@ -329,6 +329,13 @@ def test_evaluate_absent_class_excluded():
     report.check_consistency(test_ds.class_counts)
 
 
+def test_evaluate_refuses_class_count_mismatch(separable_ds):
+    stats = fit_domain_stats(separable_ds)
+    model = build(_mcfg(num_classes=3), seed=13)
+    with pytest.raises(ValueError, match="model has 3 classes but the dataset declares 2"):
+        evaluate(model, separable_ds, stats)
+
+
 def test_uniform_random_predictor_converges_to_chance():
     """Monte Carlo: random predictions give macro accuracy ~ 1/C."""
     rng = derive_rng(77)
