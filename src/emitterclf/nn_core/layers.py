@@ -63,7 +63,11 @@ def dropout(
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    # Draw over every element, padding included, so the rng stream depends
+    # only on x.shape; the draw then becomes the mask in place.
+    keep = rng.random(x.shape)
+    np.greater_equal(keep, p, out=keep)
+    keep *= 1.0 / (1.0 - p)
     return x * keep, keep
 
 

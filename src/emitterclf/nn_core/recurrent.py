@@ -21,23 +21,60 @@ LSTM recurrence (per group, per step)::
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-Gate weights are packed along the last axis in order (i, f, o, g) so the
-three sigmoids evaluate in one slab. GRU recurrence (reset r, update u,
-candidate n, packed (r, u, n))::
+GRU recurrence (reset r, update u, candidate n)::
 
     r = sigmoid(x W_r + h U_r + b_r)
     u = sigmoid(x W_u + h U_u + b_u)
     n = tanh   (x W_n + (r * h) U_n + b_n)
     h_t = (1 - u) * n + u * h_{t-1}
+
+Parameters keep the packed layout along the last axis: LSTM (i, f, o, g),
+GRU (r, u, n), with U_ru holding (r, u).
+
+Storage. Each step works on one contiguous gate-major slab
+(gates, S, n, H), where n is the step's count of active rows, so every gate
+is a contiguous array and not an H-wide strided slice of a (..., gates*H)
+row. The forward pass keeps, for active rows only, what the backward pass
+reads: the gate activations, the LSTM cell state and tanh(c), the GRU's
+r * h. Each of these is one flat slab per call, and step t's block starts
+at row offset sum(active[:t]). The cell state is written straight into its
+slab and read back from there as the previous state. Only h_seq, the
+output, has all B rows, and of it only the carried rows h_seq[t, :, n:] are
+copied each step.
+
+Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
+`layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once
+per call, so their pre-activation comes out already halved and one tanh
+covers all four LSTM gates (the GRU's r and u; n needs r first). Halving is
+exact in binary floating point: it changes only the exponent, and rounding
+commutes with it. So x(W/2) + h(U/2) + b/2 equals (xW + hU + b)/2 bit for
+bit, barring subnormal underflow.
+
+Rounding. The kernels return the same bits as the packed kernels they
+replaced, which tests/reference_recurrent.py keeps as the oracle.
+Elementwise arithmetic is reordered only where IEEE rules keep it exact
+(a + b = b + a, scaling by 0.5). Every BLAS product keeps its shape,
+because OpenBLAS can round the same dot product differently when the
+product's shape changes: splitting h U's output columns by gate, or
+dropping padded rows from x W, changes bits for some sizes. Hence:
+
+- h U is one (S, n, H) @ (S, H, gates*H) product, added into the
+  gate-major slab through a strided view;
+- with Din > 1, x_t W multiplies all B rows of the step and then keeps the
+  active ones; with Din = 1 it stays an elementwise product (a K = 1
+  matmul returns +0.0 where x * w is -0.0);
+- the backward pass copies each step's gate-major dz into one packed
+  (S, n, gates*H) array, so dh = dz U^T and dx = dz W^T still sum over the
+  full gates*H inner dimension, and dW, dU and db accumulate the same
+  products and sums as before.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-
-from .layers import sigmoid
 
 __all__ = [
     "init_lstm_params",
@@ -49,32 +86,50 @@ __all__ = [
 ]
 
 
-def _active_counts(lengths, T: int, B: int) -> np.ndarray:
-    """Rows active per step; requires lengths sorted non-increasing.
+def _active_rows(lengths, T: int, B: int) -> tuple[list[int], list[int]]:
+    """Rows active per step, and the row offset of each step's store block.
 
-    T may exceed the longest valid length (padding past every sequence);
-    fully padded steps simply carry all states.
+    Requires lengths sorted non-increasing. T may exceed the longest valid
+    length (padding past every sequence); fully padded steps simply carry
+    all states. offsets[t] = sum(active[:t]), so offsets[-1] is the total.
     """
     if lengths is None:
-        return np.full(T, B, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (B,):
-        raise ValueError(f"lengths must have shape ({B},)")
-    if np.any(lengths[:-1] < lengths[1:]):
-        raise ValueError("batch rows must be ordered by non-increasing valid length")
-    if lengths[0] > T or lengths[-1] < 1:
-        raise ValueError(f"valid lengths must lie in [1, {T}]")
-    return (np.arange(T)[:, None] < lengths[None, :]).sum(axis=1)
-
-
-def _input_transform(x, W, b):
-    """xW + b for all steps at once; (T, S, B, Din) -> (T, S, B, gates)."""
-    if x.shape[-1] == 1:
-        out = x * W[:, 0][None, :, None, :]
+        active = [B] * T
     else:
-        out = np.matmul(x, W)
-    out += b[:, None, :]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (B,):
+            raise ValueError(f"lengths must have shape ({B},)")
+        if np.any(lengths[:-1] < lengths[1:]):
+            raise ValueError("batch rows must be ordered by non-increasing valid length")
+        if lengths[0] > T or lengths[-1] < 1:
+            raise ValueError(f"valid lengths must lie in [1, {T}]")
+        active = (np.arange(T)[:, None] < lengths[None, :]).sum(axis=1).tolist()
+    return active, list(itertools.accumulate(active, initial=0))
+
+
+def _halved(a, cols: int) -> np.ndarray:
+    """Copy of packed weights with the first `cols` (sigmoid-gate) columns * 0.5."""
+    out = a.copy()
+    out[..., :cols] *= 0.5
     return out
+
+
+def _gate_view(p, gates: int) -> np.ndarray:
+    """Packed (S, m, gates*H) -> gate-major (gates, S, m, H) view."""
+    S, m, GH = p.shape
+    return p.reshape(S, m, gates, GH // gates).transpose(2, 0, 1, 3)
+
+
+def _input_gates(out, x_t, W, b) -> None:
+    """out = x_t W + b for the first n rows of one step; out: (gates, S, n, H)."""
+    G, S, n, H = out.shape
+    if x_t.shape[-1] == 1:
+        np.multiply(x_t[:, :n], _gate_view(W, G), out=out)
+        out += _gate_view(b[:, None], G)
+    else:
+        xw = np.matmul(x_t, W)  # all B rows: see the module docstring
+        xw += b[:, None]
+        out[...] = _gate_view(xw, G)[:, :, :n]
 
 
 def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
@@ -97,33 +152,36 @@ def lstm_forward(W, U, b, x, lengths=None):
     """
     T, S, B, Din = x.shape
     H = U.shape[1]
-    active = _active_counts(lengths, T, B)
-    gates = _input_transform(x, W, b)  # also becomes the activation store
-    c_seq = np.empty((T, S, B, H))
-    tanh_c = np.empty((T, S, B, H))
+    active, offsets = _active_rows(lengths, T, B)
+    W_h, U_h, b_h = (_halved(a, 3 * H) for a in (W, U, b))
+    blk = S * H
+    acts = np.empty(4 * blk * offsets[-1])  # (i, f, o, g) per step
+    c_store = np.empty(blk * offsets[-1])
+    tc_store = np.empty(blk * offsets[-1])
     h_seq = np.empty((T, S, B, H))
-    h = np.zeros((S, B, H))
-    c = np.zeros((S, B, H))
-    h_init, c_init = h.copy(), c.copy()
+    h_prev = c_prev = np.zeros((S, B, H))
     for t in range(T):
-        n = int(active[t])
-        z = gates[t, :, :n]
-        z += np.matmul(h[:, :n], U)
-        sig = sigmoid(z[..., : 3 * H])
-        i = sig[..., :H]
-        f = sig[..., H : 2 * H]
-        o = sig[..., 2 * H :]
-        g = np.tanh(z[..., 3 * H :])
-        c_new = f * c[:, :n] + i * g
-        tc = np.tanh(c_new)
-        c[:, :n] = c_new
-        h[:, :n] = o * tc
-        z[..., : 3 * H] = sig
-        z[..., 3 * H :] = g
-        tanh_c[t, :, :n] = tc
-        c_seq[t] = c
-        h_seq[t] = h
-    cache = (x, gates, c_seq, tanh_c, h_seq, active, h_init, c_init)
+        n = active[t]
+        lo, hi = blk * offsets[t], blk * offsets[t + 1]
+        a = acts[4 * lo : 4 * hi].reshape(4, S, n, H)
+        _input_gates(a, x[t], W_h, b_h)
+        a += _gate_view(np.matmul(h_prev[:, :n], U_h), 4)
+        np.tanh(a, out=a)
+        sig = a[:3]
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = a
+        c = c_store[lo:hi].reshape(S, n, H)
+        np.multiply(f, c_prev[:, :n], out=c)
+        c += i * g
+        tc = tc_store[lo:hi].reshape(S, n, H)
+        np.tanh(c, out=tc)
+        h = h_seq[t]
+        np.multiply(o, tc, out=h[:, :n])
+        if n < B:
+            h[:, n:] = h_prev[:, n:]
+        h_prev, c_prev = h, c
+    cache = (x, acts, c_store, tc_store, h_seq, active, offsets)
     return h_seq, cache
 
 
@@ -132,45 +190,58 @@ def lstm_backward(W, U, b, cache, dh_seq):
 
     dh_seq: (T, S, B, H) upstream gradient on every output row (gradients on
     carried rows flow back to the last active step). Returns
-    (dW, dU, db, dx). Consumes the cache: gate activations are overwritten.
+    (dW, dU, db, dx).
     """
-    x, gates, c_seq, tanh_c, h_seq, active, h_init, c_init = cache
+    x, acts, c_store, tc_store, h_seq, active, offsets = cache
     T, S, B, Din = x.shape
     H = U.shape[1]
+    blk = S * H
     dx = np.zeros_like(x)
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros_like(b)
     dh = np.zeros((S, B, H))
     dc = np.zeros((S, B, H))
+    zeros = np.zeros((S, B, H))
+    dz_store = np.empty(4 * blk * B)
+    packed_store = np.empty(4 * blk * B)
     Ut = np.ascontiguousarray(U.transpose(0, 2, 1))
     Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
     for t in range(T - 1, -1, -1):
-        n = int(active[t])
+        n = active[t]
+        lo, hi = blk * offsets[t], blk * offsets[t + 1]
+        a = acts[4 * lo : 4 * hi].reshape(4, S, n, H)
+        i, f, o, g = a
+        tc = tc_store[lo:hi].reshape(S, n, H)
+        if t > 0:
+            c_prev = c_store[blk * offsets[t - 1] : lo].reshape(S, active[t - 1], H)[:, :n]
+            h_prev = h_seq[t - 1, :, :n]
+        else:
+            c_prev = h_prev = zeros[:, :n]
         dh += dh_seq[t]
         dh_t = dh[:, :n]
         dc_t = dc[:, :n]
-        g_t = gates[t, :, :n]
-        i = g_t[..., :H]
-        f = g_t[..., H : 2 * H]
-        o = g_t[..., 2 * H : 3 * H]
-        g = g_t[..., 3 * H :]
-        tc = tanh_c[t, :, :n]
-        c_prev = (c_seq[t - 1] if t > 0 else c_init)[:, :n]
-        h_prev = (h_seq[t - 1] if t > 0 else h_init)[:, :n]
-        do = dh_t * tc
-        dcn = dc_t + dh_t * o * (1.0 - tc * tc)
-        dz = np.empty((S, n, 4 * H))
-        dz[..., :H] = (dcn * g) * i * (1.0 - i)
-        dz[..., H : 2 * H] = (dcn * c_prev) * f * (1.0 - f)
-        dz[..., 2 * H : 3 * H] = do * o * (1.0 - o)
-        dz[..., 3 * H :] = (dcn * i) * (1.0 - g * g)
-        dc[:, :n] = dcn * f
-        dh[:, :n] = np.matmul(dz, Ut)
+        dcn = dh_t * o
+        dcn *= 1.0 - tc * tc
+        dcn += dc_t
+        dz = dz_store[: 4 * blk * n].reshape(4, S, n, H)
+        np.multiply(dcn, g, out=dz[0])
+        np.multiply(dcn, c_prev, out=dz[1])
+        np.multiply(dh_t, tc, out=dz[2])
+        dz[:3] *= a[:3]
+        dz[:3] *= 1.0 - a[:3]
+        np.multiply(dcn, i, out=dz[3])
+        dz[3] *= 1.0 - g * g
+        np.multiply(dcn, f, out=dc_t)
+        # packed (S, n, 4H) copy: dz's matmuls below need the full 4H inner dimension
+        packed = packed_store[: 4 * blk * n].reshape(S, n, 4, H)
+        packed[...] = dz.transpose(1, 2, 0, 3)
+        dz = packed.reshape(S, n, 4 * H)
+        np.matmul(dz, Ut, out=dh_t)
         dW += np.matmul(x[t, :, :n].transpose(0, 2, 1), dz)
         dU += np.matmul(h_prev.transpose(0, 2, 1), dz)
         db += dz.sum(axis=1)
-        dx[t, :, :n] = np.matmul(dz, Wt)
+        np.matmul(dz, Wt, out=dx[t, :, :n])
     return dW, dU, db, dx
 
 
@@ -188,72 +259,88 @@ def gru_forward(W, U_ru, U_n, b, x, lengths=None):
     """Run the GRU over a right-padded batch; mirrors lstm_forward."""
     T, S, B, Din = x.shape
     H = U_n.shape[1]
-    active = _active_counts(lengths, T, B)
-    gates = _input_transform(x, W, b)
-    rh_seq = np.empty((T, S, B, H))
+    active, offsets = _active_rows(lengths, T, B)
+    W_h, U_h, b_h = (_halved(a, 2 * H) for a in (W, U_ru, b))
+    blk = S * H
+    acts = np.empty(3 * blk * offsets[-1])  # (r, u, n) per step
+    rh_store = np.empty(blk * offsets[-1])
     h_seq = np.empty((T, S, B, H))
-    h = np.zeros((S, B, H))
-    h_init = h.copy()
+    h_prev = np.zeros((S, B, H))
     for t in range(T):
-        n = int(active[t])
-        hs = h[:, :n]
-        z = gates[t, :, :n]
-        z_ru = z[..., : 2 * H]
-        z_ru += np.matmul(hs, U_ru)
-        ru = sigmoid(z_ru)
-        r = ru[..., :H]
-        u = ru[..., H:]
-        rh = r * hs
-        z_n = z[..., 2 * H :]
-        z_n += np.matmul(rh, U_n)
-        n_gate = np.tanh(z_n)
-        h[:, :n] = (1.0 - u) * n_gate + u * hs
-        z[..., : 2 * H] = ru
-        z[..., 2 * H :] = n_gate
-        rh_seq[t, :, :n] = rh
-        h_seq[t] = h
-    cache = (x, gates, rh_seq, h_seq, active, h_init)
+        n = active[t]
+        lo, hi = blk * offsets[t], blk * offsets[t + 1]
+        a = acts[3 * lo : 3 * hi].reshape(3, S, n, H)
+        hs = h_prev[:, :n]
+        _input_gates(a, x[t], W_h, b_h)
+        ru = a[:2]
+        ru += _gate_view(np.matmul(hs, U_h), 2)
+        np.tanh(ru, out=ru)
+        ru += 1.0
+        ru *= 0.5
+        r, u, n_gate = a
+        rh = rh_store[lo:hi].reshape(S, n, H)
+        np.multiply(r, hs, out=rh)
+        n_gate += np.matmul(rh, U_n)
+        np.tanh(n_gate, out=n_gate)
+        h = h_seq[t]
+        hn = h[:, :n]
+        np.subtract(1.0, u, out=hn)
+        hn *= n_gate
+        hn += u * hs
+        if n < B:
+            h[:, n:] = h_prev[:, n:]
+        h_prev = h
+    cache = (x, acts, rh_store, h_seq, active, offsets)
     return h_seq, cache
 
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):
     """Exact gradients of gru_forward. Returns (dW, dU_ru, dU_n, db, dx)."""
-    x, gates, rh_seq, h_seq, active, h_init = cache
+    x, acts, rh_store, h_seq, active, offsets = cache
     T, S, B, Din = x.shape
     H = U_n.shape[1]
+    blk = S * H
     dx = np.zeros_like(x)
     dW = np.zeros_like(W)
     dU_ru = np.zeros_like(U_ru)
     dU_n = np.zeros_like(U_n)
     db = np.zeros_like(b)
     dh = np.zeros((S, B, H))
+    zeros = np.zeros((S, B, H))
+    dz_store = np.empty(3 * blk * B)
+    packed_store = np.empty(3 * blk * B)
     U_ru_t = np.ascontiguousarray(U_ru.transpose(0, 2, 1))
     U_n_t = np.ascontiguousarray(U_n.transpose(0, 2, 1))
     Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
     for t in range(T - 1, -1, -1):
-        n = int(active[t])
+        n = active[t]
+        lo, hi = blk * offsets[t], blk * offsets[t + 1]
+        a = acts[3 * lo : 3 * hi].reshape(3, S, n, H)
+        r, u, n_gate = a
+        rh = rh_store[lo:hi].reshape(S, n, H)
+        h_prev = h_seq[t - 1, :, :n] if t > 0 else zeros[:, :n]
         dh += dh_seq[t]
         dh_t = dh[:, :n]
-        g_t = gates[t, :, :n]
-        r = g_t[..., :H]
-        u = g_t[..., H : 2 * H]
-        n_gate = g_t[..., 2 * H :]
-        h_prev = (h_seq[t - 1] if t > 0 else h_init)[:, :n]
-        du = dh_t * (h_prev - n_gate)
+        dz = dz_store[: 3 * blk * n].reshape(3, S, n, H)
+        np.subtract(h_prev, n_gate, out=dz[1])
+        dz[1] *= dh_t  # du
         dn = dh_t * (1.0 - u)
         dh_prev = dh_t * u
-        dz_n = dn * (1.0 - n_gate * n_gate)
-        drh = np.matmul(dz_n, U_n_t)
-        dr = drh * h_prev
+        np.multiply(dn, 1.0 - n_gate * n_gate, out=dz[2])  # dz_n
+        drh = np.matmul(dz[2], U_n_t)
+        np.multiply(drh, h_prev, out=dz[0])  # dr
         dh_prev += drh * r
-        dz = np.empty((S, n, 3 * H))
-        dz[..., :H] = dr * r * (1.0 - r)
-        dz[..., H : 2 * H] = du * u * (1.0 - u)
-        dz[..., 2 * H :] = dz_n
-        dh[:, :n] = np.matmul(dz[..., : 2 * H], U_ru_t) + dh_prev
+        dz[:2] *= a[:2]
+        dz[:2] *= 1.0 - a[:2]
+        dU_n += np.matmul(rh.transpose(0, 2, 1), dz[2])
+        # packed (S, n, 3H) copy: dz's matmuls below need the full 3H inner dimension
+        packed = packed_store[: 3 * blk * n].reshape(S, n, 3, H)
+        packed[...] = dz.transpose(1, 2, 0, 3)
+        dz = packed.reshape(S, n, 3 * H)
+        np.matmul(dz[..., : 2 * H], U_ru_t, out=dh_t)
+        dh_t += dh_prev
         dW += np.matmul(x[t, :, :n].transpose(0, 2, 1), dz)
         dU_ru += np.matmul(h_prev.transpose(0, 2, 1), dz[..., : 2 * H])
-        dU_n += np.matmul(rh_seq[t, :, :n].transpose(0, 2, 1), dz_n)
         db += dz.sum(axis=1)
-        dx[t, :, :n] = np.matmul(dz, Wt)
+        np.matmul(dz, Wt, out=dx[t, :, :n])
     return dW, dU_ru, dU_n, db, dx
