@@ -153,13 +153,20 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     test_ds = load_dataset(args.data)
     ck = _load_checkpoint_for(args.checkpoint, test_ds)
+    data_fingerprint = dataset_fingerprint(test_ds)
+    if data_fingerprint == ck.meta.get("train_fingerprint"):
+        print(
+            f"warning: {args.data} is the dataset {args.checkpoint} was trained on; "
+            "its accuracy is not a held-out score",
+            file=sys.stderr,
+        )
     report = evaluate(
         ck.model,
         test_ds,
         ck.stats,
         metadata={
             "checkpoint": str(args.checkpoint),
-            "data_fingerprint": dataset_fingerprint(test_ds),
+            "data_fingerprint": data_fingerprint,
             "train_fingerprint": ck.meta.get("train_fingerprint"),
             "evaluated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },

@@ -278,11 +278,14 @@ def forward(
     batch: NormalizedBatch,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, dict | None]:
     """Compute pre-softmax logits for a padded batch.
 
-    Returns (logits, cache); the cache feeds `backward` during training and
-    can be discarded at inference.
+    Returns (logits, cache); the cache feeds `backward`. With
+    keep_cache=False the recurrent kernels keep no per-step stores (gate
+    activations, cell states) and the cache is None, so `backward` refuses
+    the result; inference uses this, and the logits are bit-identical.
     """
     cfg = model.config
     p = model.params
@@ -296,7 +299,7 @@ def forward(
         drop_masks = []
         for layer in range(cfg.layers):
             params = [p[f"{cell}{layer}.{s}"] for s in suffixes]
-            h, lc = kernel(*params, h, kernel_lengths)
+            h, lc = kernel(*params, h, kernel_lengths, keep_cache=keep_cache)
             layer_caches.append(lc)
             if layer < cfg.layers - 1:
                 h, dm = dropout(h, cfg.dropout, training, rng)
@@ -335,12 +338,16 @@ def forward(
 
     feats_d, fc_drop = dropout(feats, cfg.dropout, training, rng)
     logits = fc_forward(feats_d, p["fc.W"], p["fc.b"])
+    if not keep_cache:
+        return logits, None
     cache.update(feats_d=feats_d, fc_drop=fc_drop)
     return logits, cache
 
 
 def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss w.r.t. every model parameter."""
+    if cache is None:
+        raise ValueError("the forward pass kept no cache (keep_cache=False); backward needs one")
     cfg = model.config
     p = model.params
     grads: dict[str, np.ndarray] = {}
@@ -383,7 +390,7 @@ def predict(
     Argmax ties break toward the lowest class index.
     """
     ns = normalize_scheme(seq, stats, model.config.scheme, model.config.bins)
-    logits, _ = forward(model, build_batch([ns]), training=False)
+    logits, _ = forward(model, build_batch([ns]), training=False, keep_cache=False)
     probs = softmax(logits[0])
     return int(np.argmax(probs)), probs
 

@@ -42,6 +42,14 @@ slab and read back from there as the previous state. Only h_seq, the
 output, has all B rows, and of it only the carried rows h_seq[t, :, n:] are
 copied each step.
 
+Inference (keep_cache=False) keeps no per-step stores and returns
+(h_seq, None). The same loop runs on blocks sized for B rows instead: each
+step overwrites one gate-activation block (and one tanh(c) block, or one
+r * h block), and the LSTM cell state alternates between two blocks,
+starting at row B * (t % 2), because step t reads step t-1's c. The GRU's
+previous state is already in h_seq. Every product and elementwise pass
+keeps its shape and order, so h_seq is bit-identical to the caching run.
+
 Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
 `layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once
 per call, so their pre-activation comes out already halved and one tanh
@@ -142,27 +150,30 @@ def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U, b
 
 
-def lstm_forward(W, U, b, x, lengths=None):
+def lstm_forward(W, U, b, x, lengths=None, keep_cache=True):
     """Run the LSTM over a right-padded batch from a zero initial state.
 
     x: (T, S, B, Din); lengths: (B,) valid lengths sorted non-increasing, or
     None for a fully rectangular batch. Returns (h_seq, cache) where h_seq
     is (T, S, B, H) with the state carried unchanged past each sequence's
-    valid length.
+    valid length. keep_cache=False keeps no per-step stores for a backward
+    pass and returns (h_seq, None); h_seq is bit-identical either way.
     """
     T, S, B, Din = x.shape
     H = U.shape[1]
     active, offsets = _active_rows(lengths, T, B)
     W_h, U_h, b_h = (_halved(a, 3 * H) for a in (W, U, b))
     blk = S * H
-    acts = np.empty(4 * blk * offsets[-1])  # (i, f, o, g) per step
-    c_store = np.empty(blk * offsets[-1])
-    tc_store = np.empty(blk * offsets[-1])
+    rows = offsets[-1] if keep_cache else B
+    acts = np.empty(4 * blk * rows)  # (i, f, o, g) per step
+    c_store = np.empty(blk * (offsets[-1] if keep_cache else 2 * B))
+    tc_store = np.empty(blk * rows)
     h_seq = np.empty((T, S, B, H))
     h_prev = c_prev = np.zeros((S, B, H))
     for t in range(T):
         n = active[t]
-        lo, hi = blk * offsets[t], blk * offsets[t + 1]
+        lo = blk * offsets[t] if keep_cache else 0
+        hi = lo + blk * n
         a = acts[4 * lo : 4 * hi].reshape(4, S, n, H)
         _input_gates(a, x[t], W_h, b_h)
         a += _gate_view(np.matmul(h_prev[:, :n], U_h), 4)
@@ -171,7 +182,8 @@ def lstm_forward(W, U, b, x, lengths=None):
         sig += 1.0
         sig *= 0.5
         i, f, o, g = a
-        c = c_store[lo:hi].reshape(S, n, H)
+        c_lo = lo if keep_cache else blk * B * (t % 2)  # step t reads step t-1's c
+        c = c_store[c_lo : c_lo + blk * n].reshape(S, n, H)
         np.multiply(f, c_prev[:, :n], out=c)
         c += i * g
         tc = tc_store[lo:hi].reshape(S, n, H)
@@ -181,8 +193,9 @@ def lstm_forward(W, U, b, x, lengths=None):
         if n < B:
             h[:, n:] = h_prev[:, n:]
         h_prev, c_prev = h, c
-    cache = (x, acts, c_store, tc_store, h_seq, active, offsets)
-    return h_seq, cache
+    if not keep_cache:
+        return h_seq, None
+    return h_seq, (x, acts, c_store, tc_store, h_seq, active, offsets)
 
 
 def lstm_backward(W, U, b, cache, dh_seq):
@@ -255,20 +268,22 @@ def init_gru_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U_ru, U_n, b
 
 
-def gru_forward(W, U_ru, U_n, b, x, lengths=None):
+def gru_forward(W, U_ru, U_n, b, x, lengths=None, keep_cache=True):
     """Run the GRU over a right-padded batch; mirrors lstm_forward."""
     T, S, B, Din = x.shape
     H = U_n.shape[1]
     active, offsets = _active_rows(lengths, T, B)
     W_h, U_h, b_h = (_halved(a, 2 * H) for a in (W, U_ru, b))
     blk = S * H
-    acts = np.empty(3 * blk * offsets[-1])  # (r, u, n) per step
-    rh_store = np.empty(blk * offsets[-1])
+    rows = offsets[-1] if keep_cache else B
+    acts = np.empty(3 * blk * rows)  # (r, u, n) per step
+    rh_store = np.empty(blk * rows)
     h_seq = np.empty((T, S, B, H))
     h_prev = np.zeros((S, B, H))
     for t in range(T):
         n = active[t]
-        lo, hi = blk * offsets[t], blk * offsets[t + 1]
+        lo = blk * offsets[t] if keep_cache else 0
+        hi = lo + blk * n
         a = acts[3 * lo : 3 * hi].reshape(3, S, n, H)
         hs = h_prev[:, :n]
         _input_gates(a, x[t], W_h, b_h)
@@ -290,8 +305,9 @@ def gru_forward(W, U_ru, U_n, b, x, lengths=None):
         if n < B:
             h[:, n:] = h_prev[:, n:]
         h_prev = h
-    cache = (x, acts, rh_store, h_seq, active, offsets)
-    return h_seq, cache
+    if not keep_cache:
+        return h_seq, None
+    return h_seq, (x, acts, rh_store, h_seq, active, offsets)
 
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):

@@ -241,14 +241,19 @@ def evaluate(
     metadata: dict | None = None,
     batch_size: int = 256,
 ) -> EvalReport:
-    """Inference-mode predictions for every sequence, macro-averaged."""
+    """Inference-mode predictions for every sequence, macro-averaged.
+
+    The forward pass keeps no backward cache, so a batch's recurrent
+    layers hold about two (T, S, B, H) float64 h_seq slabs at a time (a
+    layer's input and output), T being the batch's longest sequence.
+    """
     check_class_count(model, test_ds)
     mcfg = model.config
     normalized = _normalize_all(test_ds, stats, mcfg.scheme, mcfg.bins)
     preds = np.empty(len(normalized), dtype=np.int64)
     for lo in range(0, len(normalized), batch_size):
         chunk = normalized[lo : lo + batch_size]
-        logits, _ = forward(model, build_batch(chunk), training=False)
+        logits, _ = forward(model, build_batch(chunk), training=False, keep_cache=False)
         preds[lo : lo + len(chunk)] = np.argmax(logits, axis=1)
     truths = np.array([s.label for s in test_ds.sequences], dtype=np.int64)
     macro, per_class, confusion = classification_report(truths, preds, test_ds.num_classes)

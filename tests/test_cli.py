@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emitterclf.cli import main
-from emitterclf.data_model import Dataset, load_dataset, save_dataset
+from emitterclf.data_model import Dataset, dataset_fingerprint, load_dataset, save_dataset
 from emitterclf.model import ModelConfig, build, load_checkpoint, save_checkpoint
 from emitterclf.normalize import fit_domain_stats
 
@@ -349,3 +349,28 @@ def test_eval_refuses_wrong_shape_tensor(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(ckpt) in err
     assert "tensor 'lstm0.U' has shape (6, 3, 16), the config needs (6, 4, 16)" in err
+
+
+def test_eval_warns_when_data_is_the_training_set(tmp_path, capsys):
+    """Same fingerprint as the checkpoint's training data: warn, exit 0, same outputs."""
+    data, model, stats = _micro_inputs(tmp_path)
+    fingerprint = dataset_fingerprint(load_dataset(data))
+    outputs = {}
+    for name, train_fingerprint in (("seen", fingerprint), ("unseen", "0" * len(fingerprint))):
+        ckpt = tmp_path / f"{name}.ckpt"
+        save_checkpoint(ckpt, model, stats, {"train_fingerprint": train_fingerprint})
+        capsys.readouterr()
+        assert main(_checkpoint_args("eval", ckpt, data, tmp_path / name)) == 0
+        outputs[name] = capsys.readouterr()
+    assert outputs["seen"].err.startswith("warning: ")
+    assert f"{data} is the dataset {tmp_path / 'seen.ckpt'} was trained on" in outputs["seen"].err
+    assert outputs["unseen"].err == ""
+    assert outputs["seen"].out == outputs["unseen"].out
+    reports = [json.loads((tmp_path / name / "report.json").read_text()) for name in outputs]
+    for report in reports:  # the rest is the same model scored on the same data
+        meta = report.pop("metadata")
+        assert sorted(meta) == ["checkpoint", "data_fingerprint", "evaluated_at", "train_fingerprint"]
+    assert reports[0] == reports[1]
+    assert (tmp_path / "seen" / "confusion.csv").read_bytes() == (
+        tmp_path / "unseen" / "confusion.csv"
+    ).read_bytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitterclf.data_model import Dataset, PulseSequence
 from emitterclf.model import (
@@ -13,10 +15,8 @@ from emitterclf.model import (
     save_checkpoint,
 )
 from emitterclf.nn_core import Adam, softmax, weighted_cross_entropy
-from emitterclf.normalize import build_batch, fit_domain_stats, normalize_scheme
+from emitterclf.normalize import NormalizedBatch, build_batch, fit_domain_stats, normalize_scheme
 from emitterclf.seeding import derive_rng
-
-
 
 
 def _cfg(**kw):
@@ -190,8 +190,6 @@ def test_padding_never_changes_logits(small_dataset, arch, scheme):
     logits, _ = forward(model, base)
     padded_channels = np.zeros((1, seq.length + 9, ns.channels.shape[1]), dtype=ns.channels.dtype)
     padded_channels[0, : seq.length] = ns.channels
-    from emitterclf.normalize import NormalizedBatch
-
     padded = NormalizedBatch(
         channels=padded_channels,
         lengths=np.array([seq.length]),
@@ -276,6 +274,64 @@ def test_end_to_end_gradients_with_dropout(arch):
     ds = _tiny_dataset()
     cfg = _cfg(architecture=arch, layers=2, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
     _model_gradcheck(cfg, ds, seed=14, training=True)
+
+
+@pytest.mark.parametrize("readout", ["last", "mean"])
+@pytest.mark.parametrize("arch", list(_GRADCHECK_CONFIGS))
+def test_cacheless_forward_logits_bit_identical(small_dataset, arch, readout):
+    """Inference without backward stores returns the same logit bytes."""
+    cfg = _cfg(architecture=arch, readout=readout, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
+    model = build(cfg, seed=12)
+    batch = _batch(small_dataset, cfg, fit_domain_stats(small_dataset))
+    logits, cache = forward(model, batch)
+    logits_free, cache_free = forward(model, batch, keep_cache=False)
+    assert cache is not None and cache_free is None
+    assert logits_free.tobytes() == logits.tobytes()
+
+
+@pytest.mark.parametrize("arch", list(_GRADCHECK_CONFIGS))
+def test_backward_refuses_cacheless_forward(arch):
+    ds = _tiny_dataset()
+    cfg = _cfg(architecture=arch, **_GRADCHECK_CONFIGS[arch])
+    model = build(cfg, seed=13)
+    logits, cache = forward(model, _batch(ds, cfg, fit_domain_stats(ds)), keep_cache=False)
+    with pytest.raises(ValueError, match="kept no cache"):
+        backward(model, cache, np.ones_like(logits))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch=st.sampled_from(sorted(_GRADCHECK_CONFIGS)),
+    readout=st.sampled_from(["last", "mean"]),
+    layers=st.integers(1, 2),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    extra=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padding_never_changes_logits_property(arch, readout, layers, lengths, extra, seed):
+    """Padded timesteps past the longest sequence never change a logit bit."""
+    rng = np.random.default_rng(seed)
+    seqs = [
+        PulseSequence(
+            np.stack([rng.uniform(50, 500, t), rng.uniform(1, 10, t), rng.uniform(1e3, 1e4, t)], 1),
+            k % 3,
+            check=False,
+        )
+        for k, t in enumerate(lengths)
+    ]
+    ds = Dataset(seqs, 3)
+    cfg = _cfg(architecture=arch, readout=readout, layers=layers, **_GRADCHECK_CONFIGS[arch])
+    model = build(cfg, seed=seed % 1000)
+    base = _batch(ds, cfg, fit_domain_stats(_tiny_dataset()))
+    b, t_max, k = base.channels.shape
+    channels = np.zeros((b, t_max + extra, k), dtype=base.channels.dtype)
+    channels[:, :t_max] = base.channels
+    padded = NormalizedBatch(channels=channels, lengths=base.lengths, labels=base.labels)
+    want, _ = forward(model, base)
+    for batch in (base, padded):
+        for keep_cache in (True, False):
+            got, _ = forward(model, batch, keep_cache=keep_cache)
+            assert np.array_equal(got, want)
 
 
 def test_gru_uses_requested_attributes(small_dataset):

@@ -92,3 +92,15 @@ def test_grouped_stack_equals_independent_groups(case):
         assert _same_bits(np.ascontiguousarray(dx[:, s : s + 1]), dx_one)
         for d, d_one in zip(dparams, dparams_one):
             assert _same_bits(np.ascontiguousarray(d[s : s + 1]), d_one)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_cacheless_forward_matches_caching_forward(case):
+    """keep_cache=False returns the same h_seq bytes and no cache."""
+    cell, params, x, lengths, _ = case
+    fwd = CELLS[cell][1]
+    h_seq, _ = fwd(*params, x, lengths)
+    h_free, cache = fwd(*params, x, lengths, keep_cache=False)
+    assert cache is None
+    assert _same_bits(h_free, h_seq)
