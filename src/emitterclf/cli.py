@@ -181,7 +181,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _grid_inputs(args):
+def _cmd_grid(args, run, name: str, keys: tuple[str, ...]) -> int:
+    """Run one grid; write <name>_runs.csv and <name>.csv and print each cell's median."""
     cfg = _load_cfg(args)
     train_ds = load_dataset(args.train)
     test_ds = load_dataset(args.test)
@@ -191,42 +192,22 @@ def _grid_inputs(args):
     train_cfg = cfgmod.train_config(cfg, seed=args.seed)
     _, replicates = cfgmod.eval_params(cfg)
     seeds = tuple(train_cfg.seed + k for k in range(replicates))
-    return cfg, train_ds, test_ds, base_cfg, train_cfg, seeds
+    result = run(train_ds, test_ds, base_cfg, train_cfg, seeds=seeds, jobs=args.jobs)
+    out = _outdir(args)
+    write_rows_csv(result.rows, (*keys, "seed", "macro_accuracy"), out / f"{name}_runs.csv")
+    write_rows_csv(result.summary, (*keys, "median_macro_accuracy"), out / f"{name}.csv")
+    for row in result.summary:
+        cell = " | ".join(str(row[k]) for k in keys)
+        print(f"{cell} | median M = {row['median_macro_accuracy']:.4f}")
+    return 0
 
 
 def cmd_ablate(args) -> int:
-    _, train_ds, test_ds, base_cfg, train_cfg, seeds = _grid_inputs(args)
-    result = run_ablation(train_ds, test_ds, base_cfg, train_cfg, seeds=seeds, jobs=args.jobs)
-    out = _outdir(args)
-    write_rows_csv(
-        result.rows, ("scheme", "architecture", "seed", "macro_accuracy"), out / "ablation_runs.csv"
-    )
-    write_rows_csv(
-        result.summary,
-        ("scheme", "architecture", "median_macro_accuracy"),
-        out / "ablation.csv",
-    )
-    for row in result.summary:
-        print(
-            f"{row['scheme']:>14} | {row['architecture']:<24} | "
-            f"median M = {row['median_macro_accuracy']:.4f}"
-        )
-    return 0
+    return _cmd_grid(args, run_ablation, "ablation", ("scheme", "architecture"))
 
 
 def cmd_baselines(args) -> int:
-    _, train_ds, test_ds, base_cfg, train_cfg, seeds = _grid_inputs(args)
-    result = run_baselines(train_ds, test_ds, base_cfg, train_cfg, seeds=seeds, jobs=args.jobs)
-    out = _outdir(args)
-    write_rows_csv(
-        result.rows, ("method", "scheme", "seed", "macro_accuracy"), out / "baselines_runs.csv"
-    )
-    write_rows_csv(
-        result.summary, ("method", "scheme", "median_macro_accuracy"), out / "baselines.csv"
-    )
-    for row in result.summary:
-        print(f"{row['method']:<24} | median M = {row['median_macro_accuracy']:.4f}")
-    return 0
+    return _cmd_grid(args, run_baselines, "baselines", ("method", "scheme"))
 
 
 def cmd_noise_sweep(args) -> int:

@@ -205,7 +205,15 @@ def load_dataset(path) -> Dataset:
         num_classes = int(lines[1].split()[1])
     except (IndexError, ValueError):
         raise DatasetFormatError(f"{path}: malformed classes line: {lines[1]!r}")
+    try:
+        sequences = _parse_records(lines, num_classes)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    return Dataset(sequences, num_classes)
 
+
+def _parse_records(lines: list[str], num_classes: int) -> list[PulseSequence]:
+    """The `seq` records that follow the two header lines."""
     sequences = []
     record = 0
     i = 2
@@ -233,9 +241,9 @@ def load_dataset(path) -> Dataset:
         if length < MIN_SEQ_LEN:
             warnings.warn(
                 f"record {record}: length {length} below nominal minimum {MIN_SEQ_LEN}",
-                stacklevel=2,
+                stacklevel=3,
             )
-        if i + length >= len(lines) + 1:
+        if i + length >= len(lines):
             raise DatasetFormatError(f"record {record}: truncated ({length} rows expected)")
         values = np.empty((length, NUM_ATTRIBUTES), dtype=np.float64)
         for t in range(length):
@@ -250,7 +258,7 @@ def load_dataset(path) -> Dataset:
                 raise DatasetFormatError(f"record {record}: pulse {t}: pw >= pri")
         sequences.append(PulseSequence(values, label, check=False))
         i += 1 + length
-    return Dataset(sequences, num_classes)
+    return sequences
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -113,6 +113,8 @@ class ModelConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.layers < 1 or self.hidden < 1 or self.num_classes < 2:
             raise ValueError("need layers >= 1, hidden >= 1, num_classes >= 2")
+        if self.embed_dim < 1 or any(n < 1 for n in self.mlp_hidden):
+            raise ValueError("need embed_dim >= 1 and every mlp_hidden size >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.readout not in ("last", "mean"):
@@ -315,13 +317,9 @@ def forward(
         )
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
-        if np.all(batch.lengths == batch.channels.shape[1]):
-            mins = x.min(axis=1)
-            maxs = x.max(axis=1)
-        else:
-            m3 = batch.mask()[:, :, None].astype(bool)
-            mins = np.where(m3, x, np.inf).min(axis=1)
-            maxs = np.where(m3, x, -np.inf).max(axis=1)
+        m3 = batch.mask()[:, :, None].astype(bool)
+        mins = np.where(m3, x, np.inf).min(axis=1)
+        maxs = np.where(m3, x, -np.inf).max(axis=1)
         feats = np.concatenate([mins, maxs], axis=1)
         acts = []
         pre = []

@@ -5,10 +5,12 @@ the confusion matrix divided by the true class count, and M is the plain
 mean of ACC_c over classes present in the test set, so rare classes weigh
 the same as common ones.
 
-Grids (the normalization x architecture ablation, the baseline table, and
-the noise-robustness sweep) run each cell as an independent task with its
-own derived seed; with jobs > 1, tasks execute in spawned worker processes
-and results are identical regardless of worker count.
+The ablation (normalization x architecture) and the baseline table are two
+cell lists over one runner, `_run_grid`: a cell is a label, its row fields
+and a ModelConfig, and each (cell, seed) pair is one independent task that
+builds, trains and evaluates a model. With jobs > 1 the tasks run in
+spawned worker processes, and results are identical regardless of worker
+count. The noise-robustness sweep evaluates fixed, already trained models.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "check_class_count",
     "evaluate",
     "ABLATION_CELLS",
+    "BASELINES",
     "BASELINE_METHODS",
     "DEFAULT_NOISE_FRACTIONS",
     "GridResult",
@@ -80,6 +83,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not self.clip_norm > 0:  # also refuses NaN
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -278,13 +289,15 @@ ABLATION_CELLS = (
     ("minmax+perseq", "attribute_specific_lstm"),
 )
 
-BASELINE_METHODS = (
-    "gru_discretized_pripw",
-    "gru_discretized_rf",
-    "stats_mlp_minmax",
-    "stats_mlp_standardize",
-    "proposed",
-)
+# Each baseline method and the ModelConfig fields it sets on the base config.
+BASELINES = {
+    "gru_discretized_pripw": dict(architecture="gru_discretized", scheme="discretize", gru_use_rf=False),
+    "gru_discretized_rf": dict(architecture="gru_discretized", scheme="discretize", gru_use_rf=True),
+    "stats_mlp_minmax": dict(architecture="stats_mlp", scheme="minmax"),
+    "stats_mlp_standardize": dict(architecture="stats_mlp", scheme="standardize"),
+    "proposed": dict(architecture="attribute_specific_lstm", scheme="minmax+perseq"),
+}
+BASELINE_METHODS = tuple(BASELINES)
 
 DEFAULT_NOISE_FRACTIONS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10)
 
@@ -296,62 +309,56 @@ class GridResult:
     models: dict[str, tuple[SequenceClassifier, DomainStats | None]] = field(default_factory=dict)
 
 
-def _run_grid_task(payload: dict) -> dict:
-    """One grid cell: build, train, evaluate. Top-level for picklability."""
-    model_cfg = ModelConfig.from_dict(payload["model_cfg"])
-    train_cfg = TrainConfig(**payload["train_cfg"])
-    model = build(model_cfg, seed=train_cfg.seed)
-    result = train(model, payload["train_ds"], train_cfg)
-    report = evaluate(result.model, payload["test_ds"], result.stats)
-    out = {
-        **payload["row"],
+def _run_grid_task(task: tuple) -> tuple[dict, tuple | None]:
+    """One grid cell and seed: build, train, evaluate. Top-level for picklability."""
+    row, model_cfg, train_cfg, train_ds, test_ds, return_model = task
+    result = train(build(model_cfg, seed=train_cfg.seed), train_ds, train_cfg)
+    report = evaluate(result.model, test_ds, result.stats)
+    row = {
+        **row,
         "seed": train_cfg.seed,
         "macro_accuracy": report.macro_accuracy,
         "n_test": report.n_test,
     }
-    if payload.get("return_model"):
-        out["model_params"] = result.model.params
-        out["model_cfg"] = payload["model_cfg"]
-        out["stats"] = result.stats
-    return out
+    return row, ((result.model, result.stats) if return_model else None)
 
 
-def _execute_tasks(payloads: list[dict], jobs: int) -> list[dict]:
+def _execute_tasks(tasks: list[tuple], jobs: int) -> list[tuple]:
     if jobs <= 1:
-        return [_run_grid_task(p) for p in payloads]
+        return [_run_grid_task(t) for t in tasks]
     ctx = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
-        return list(ex.map(_run_grid_task, payloads))
+        return list(ex.map(_run_grid_task, tasks))
 
 
 def summarize_rows(rows: list[dict], keys: tuple[str, ...]) -> list[dict]:
     """Median macro accuracy per cell, preserving first-seen cell order."""
     groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
-    meta: dict[tuple, dict] = {}
     for row in rows:
-        k = tuple(row[f] for f in keys)
-        if k not in groups:
-            groups[k] = []
-            order.append(k)
-            meta[k] = {f: row[f] for f in keys}
-        groups[k].append(row["macro_accuracy"])
+        groups.setdefault(tuple(row[f] for f in keys), []).append(row["macro_accuracy"])
     return [
-        {**meta[k], "median_macro_accuracy": float(np.median(groups[k]))} for k in order
+        {**dict(zip(keys, k)), "median_macro_accuracy": float(np.median(accs))}
+        for k, accs in groups.items()
     ]
 
 
-def _collect_models(results: list[dict], keys: tuple[str, ...]) -> dict:
-    models = {}
-    for row in results:
-        if "model_params" in row:
-            label = "|".join(str(row[f]) for f in keys) + f"|seed={row['seed']}"
-            clf = SequenceClassifier(
-                config=ModelConfig.from_dict(row.pop("model_cfg")),
-                params=row.pop("model_params"),
+def _run_grid(cells, train_ds, test_ds, train_cfg, seeds, jobs, return_models) -> GridResult:
+    """Train and evaluate every (label, row, ModelConfig) cell once per seed.
+
+    A cell's row fields are its summary keys. Models, when returned, are
+    keyed "<label>|seed=<seed>" in row order.
+    """
+    labels, tasks = [], []
+    for label, row, model_cfg in cells:
+        for seed in seeds:
+            labels.append(f"{label}|seed={seed}")
+            tasks.append(
+                (row, model_cfg, replace(train_cfg, seed=seed), train_ds, test_ds, return_models)
             )
-            models[label] = (clf, row.pop("stats"))
-    return models
+    results = _execute_tasks(tasks, jobs)
+    rows = [row for row, _ in results]
+    models = {label: out for label, (_, out) in zip(labels, results) if out is not None}
+    return GridResult(rows=rows, summary=summarize_rows(rows, tuple(cells[0][1])), models=models)
 
 
 def run_ablation(
@@ -368,38 +375,11 @@ def run_ablation(
     All cells share the same seed list so runs are comparable; the summary
     reports the per-cell median over seeds.
     """
-    payloads = []
-    for scheme, arch in ABLATION_CELLS:
-        cell_cfg = replace(base_cfg, architecture=arch, scheme=scheme)
-        for seed in seeds:
-            payloads.append(
-                {
-                    "model_cfg": cell_cfg.to_dict(),
-                    "train_cfg": replace(train_cfg, seed=seed).to_dict(),
-                    "train_ds": train_ds,
-                    "test_ds": test_ds,
-                    "row": {"scheme": scheme, "architecture": arch},
-                    "return_model": return_models,
-                }
-            )
-    results = _execute_tasks(payloads, jobs)
-    models = _collect_models(results, ("scheme", "architecture"))
-    summary = summarize_rows(results, ("scheme", "architecture"))
-    return GridResult(rows=results, summary=summary, models=models)
-
-
-def _baseline_cfg(method: str, base_cfg: ModelConfig) -> ModelConfig:
-    if method == "gru_discretized_pripw":
-        return replace(base_cfg, architecture="gru_discretized", scheme="discretize", gru_use_rf=False)
-    if method == "gru_discretized_rf":
-        return replace(base_cfg, architecture="gru_discretized", scheme="discretize", gru_use_rf=True)
-    if method == "stats_mlp_minmax":
-        return replace(base_cfg, architecture="stats_mlp", scheme="minmax")
-    if method == "stats_mlp_standardize":
-        return replace(base_cfg, architecture="stats_mlp", scheme="standardize")
-    if method == "proposed":
-        return replace(base_cfg, architecture="attribute_specific_lstm", scheme="minmax+perseq")
-    raise ValueError(f"unknown baseline method {method!r}")
+    cells = [
+        (f"{s}|{a}", {"scheme": s, "architecture": a}, replace(base_cfg, architecture=a, scheme=s))
+        for s, a in ABLATION_CELLS
+    ]
+    return _run_grid(cells, train_ds, test_ds, train_cfg, seeds, jobs, return_models)
 
 
 def run_baselines(
@@ -412,24 +392,11 @@ def run_baselines(
     return_models: bool = False,
 ) -> GridResult:
     """Baseline comparison on identical splits and seeds."""
-    payloads = []
-    for method in BASELINE_METHODS:
-        cell_cfg = _baseline_cfg(method, base_cfg)
-        for seed in seeds:
-            payloads.append(
-                {
-                    "model_cfg": cell_cfg.to_dict(),
-                    "train_cfg": replace(train_cfg, seed=seed).to_dict(),
-                    "train_ds": train_ds,
-                    "test_ds": test_ds,
-                    "row": {"method": method, "scheme": cell_cfg.scheme},
-                    "return_model": return_models,
-                }
-            )
-    results = _execute_tasks(payloads, jobs)
-    models = _collect_models(results, ("method",))
-    summary = summarize_rows(results, ("method", "scheme"))
-    return GridResult(rows=results, summary=summary, models=models)
+    cells = []
+    for method, fields in BASELINES.items():
+        cell_cfg = replace(base_cfg, **fields)
+        cells.append((method, {"method": method, "scheme": cell_cfg.scheme}, cell_cfg))
+    return _run_grid(cells, train_ds, test_ds, train_cfg, seeds, jobs, return_models)
 
 
 def noise_sweep(

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitterclf.cli import main
 from emitterclf.data_model import Dataset, dataset_fingerprint, load_dataset, save_dataset
@@ -188,7 +190,7 @@ def test_ablate_outputs_and_determinism(tmp_path):
     assert len(runs1.decode().splitlines()) == 1 + 12  # 6 cells x 2 replicates
 
 
-def test_baselines_outputs(tmp_path):
+def test_baselines_outputs(tmp_path, capsys):
     data = tmp_path / "d.ds"
     main(["gen", "--config", MICRO, "--out", str(data)])
     out = tmp_path / "bl"
@@ -221,6 +223,20 @@ def test_baselines_outputs(tmp_path):
         "stats_mlp_standardize",
         "proposed",
     ]
+    printed = capsys.readouterr().out.splitlines()[-5:]
+    for line, csv_line in zip(printed, lines[1:]):
+        method, scheme, median = csv_line.split(",")
+        assert line == f"{method} | {scheme} | median M = {float(median):.4f}"
+
+
+def test_grid_names_the_bad_dataset(tmp_path, capsys):
+    good, bad = tmp_path / "good.ds", tmp_path / "bad.ds"
+    main(["gen", "--config", MICRO, "--out", str(good)])
+    bad.write_text(good.read_text().replace("seq 0 ", "seq x ", 1))
+    capsys.readouterr()
+    args = ["--config", MICRO, "--train", str(good), "--test", str(bad), "--out-dir", str(tmp_path)]
+    assert main(["ablate"] + args) == 1
+    assert f"error: {bad}: record 1: malformed seq line" in capsys.readouterr().err
 
 
 def test_noise_sweep_outputs(tmp_path, sep_cfg):
@@ -374,3 +390,68 @@ def test_eval_warns_when_data_is_the_training_set(tmp_path, capsys):
     assert (tmp_path / "seen" / "confusion.csv").read_bytes() == (
         tmp_path / "unseen" / "confusion.csv"
     ).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def micro_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("micro") / "d.ds"
+    main(["gen", "--config", MICRO, "--out", str(data)])
+    return data
+
+
+_ARCH_OVERRIDES = {
+    "attribute_specific_lstm": ["model.arch=attribute_specific_lstm", "model.norm=minmax+perseq"],
+    "joint_lstm": ["model.arch=joint_lstm", "model.norm=minmax"],
+    "gru_discretized": ["model.arch=gru_discretized", "model.norm=discretize"],
+    "stats_mlp": ["model.arch=stats_mlp", "model.norm=minmax"],
+}
+
+
+def _train_args(data, out, overrides):
+    args = ["train", "--config", MICRO, "--data", str(data), "--out", str(out)]
+    for item in ["train.epochs=1"] + overrides:
+        args += ["--set", item]
+    return args
+
+
+@pytest.mark.parametrize(
+    "arch,override,field",
+    [
+        ("gru_discretized", "model.embed=0", "embed_dim"),
+        ("stats_mlp", "model.mlp_hidden=8,0", "mlp_hidden"),
+        ("joint_lstm", "train.lr=nan", "learning_rate"),
+        ("joint_lstm", "train.lr=0", "learning_rate"),
+        ("joint_lstm", "train.beta1=1", "beta1"),
+        ("joint_lstm", "train.beta2=-0.5", "beta2"),
+        ("joint_lstm", "train.eps=0", "eps"),
+        ("joint_lstm", "train.eps=inf", "eps"),
+        ("joint_lstm", "train.clip=-1", "clip_norm"),
+        ("joint_lstm", "train.clip=nan", "clip_norm"),
+    ],
+)
+def test_train_refuses_values_that_break_training(tmp_path, capsys, micro_data, arch, override, field):
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert main(_train_args(micro_data, out, _ARCH_OVERRIDES[arch] + [override])) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+_KEYS = [f"model.{k}" for k in "arch norm hidden layers dropout readout bins embed mlp_hidden".split()]
+_KEYS += ["model.gru_use_rf"]
+_KEYS += [f"train.{k}" for k in "epochs batch lr beta1 beta2 eps clip shuffle patience seed".split()]
+
+
+@given(
+    arch=st.sampled_from(sorted(_ARCH_OVERRIDES)),
+    key=st.sampled_from(_KEYS),
+    value=st.sampled_from(["0", "-1", "nan", "inf", "x", "0.5"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_config_values_exit_0_or_1(tmp_path_factory, micro_data, arch, key, value):
+    """No model.*/train.* value makes `train` fail at run time (exit 2).
+
+    The values are small or invalid, so no draw can allocate a large model.
+    """
+    out = tmp_path_factory.getbasetemp() / "property.ckpt"
+    assert main(_train_args(micro_data, out, _ARCH_OVERRIDES[arch] + [f"{key}={value}"])) in (0, 1)

@@ -1,8 +1,13 @@
+import re
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emitterclf import config as cfgmod
 from emitterclf.data_model import (
     Dataset,
     DatasetFormatError,
@@ -13,8 +18,11 @@ from emitterclf.data_model import (
     serialize_dataset,
     split_dataset,
 )
+from emitterclf.pulse_sim import generate_dataset
 
 from conftest import make_sequence
+
+MICRO = Path(__file__).resolve().parent.parent / "configs" / "micro.cfg"
 
 
 def test_pulse_invariants():
@@ -119,14 +127,13 @@ def test_load_extreme_lengths_and_labels(tmp_path):
         ("seq 0 7\n" + "100 1 9000\n" * 6 + "100 1 nope\n", "field rf"),
         ("seq 0 7\n" + "100 1 9000\n" * 6 + "-5 1 9000\n", "field pri"),
         ("seq 0 2\n100 1 9000\n100 200 9000\n", "pw >= pri"),
+        ("seq 0 3\n" + "100 1 9000\n" * 2, "record 1: truncated"),  # the last record, one row short
     ],
 )
 def test_load_rejects_malformed_records(tmp_path, record, match):
-    import warnings
-
     path = tmp_path / "bad.txt"
     path.write_text("# emitter-dataset v1\nclasses 17\n" + record)
-    with pytest.raises(DatasetFormatError, match=match):
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: .*{match}"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # short-length warning precedes some errors
             load_dataset(path)
@@ -154,6 +161,49 @@ def test_load_missing_header(tmp_path):
     path.write_text("classes 2\n")
     with pytest.raises(DatasetFormatError, match="header"):
         load_dataset(path)
+
+
+MICRO_LINES = serialize_dataset(
+    generate_dataset(cfgmod.sim_config(cfgmod.load_config(MICRO)))
+).splitlines()
+_line = st.integers(0, len(MICRO_LINES) - 1)
+_edits = st.one_of(
+    st.tuples(st.just("drop"), _line),
+    st.tuples(st.just("truncate"), _line),
+    st.tuples(
+        st.just("swap"), _line, st.integers(0, 2), st.sampled_from(("nan", "-1", "0", "x", "", "1e400"))
+    ),
+)
+
+
+def _edit_lines(lines, edit):
+    """Drop line k, keep lines 0..k only, or swap one token of line k."""
+    kind, k = edit[:2]
+    if kind == "drop":
+        return lines[:k] + lines[k + 1 :]
+    if kind == "truncate":
+        return lines[: k + 1]
+    tokens = lines[k].split(" ")
+    tokens[edit[2] % len(tokens)] = edit[3]
+    return lines[:k] + [" ".join(tokens)] + lines[k + 1 :]
+
+
+@pytest.fixture(scope="module")
+def edited_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited") / "micro.ds"
+
+
+@given(edit=_edits)
+@settings(max_examples=150, deadline=None)
+def test_malformed_dataset_only_raises_format_error(edited_path, edit):
+    """One edit to a saved micro dataset: it loads, or it is refused naming the file."""
+    edited_path.write_text("\n".join(_edit_lines(MICRO_LINES, edit)) + "\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_dataset(edited_path)
+    except DatasetFormatError as exc:
+        assert str(exc).startswith(f"{edited_path}: ")
 
 
 @st.composite
