@@ -4,8 +4,11 @@
 For all four architectures x {last, mean} readout, trains a model for 2
 epochs on the micro preset and prints a sha256 over its trained
 parameters, its epoch losses, its inference logits on the test split and
-the confusion matrix `evaluate` reports, then one cumulative sha256. Run
-it at two commits and compare the lines:
+the confusion matrix `evaluate` reports, then one cumulative sha256 of
+those. Before that it prints a sha256 of the serialized dataset (the text
+`save_dataset` writes) that each of the micro, paperlike_small and
+paperlike presets generates at its config seed. Run it at two commits and
+compare the lines:
 
     python scripts/output_hash.py [--hidden 4] [--dropout 0.0]
 """
@@ -23,7 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from emitterclf import config as cfgmod  # noqa: E402
-from emitterclf.data_model import split_dataset  # noqa: E402
+from emitterclf.data_model import serialize_dataset, split_dataset  # noqa: E402
 from emitterclf.model import ARCHITECTURES, build, forward  # noqa: E402
 from emitterclf.normalize import build_batch, normalize_scheme  # noqa: E402
 from emitterclf.pulse_sim import generate_dataset  # noqa: E402
@@ -51,6 +54,9 @@ def main() -> None:
     ap.add_argument("--hidden", type=int, default=4)
     ap.add_argument("--dropout", type=float, default=0.0)
     args = ap.parse_args()
+    for preset in ("micro", "paperlike_small", "paperlike"):
+        ds = generate_dataset(cfgmod.sim_config(cfgmod.load_config(REPO / "configs" / f"{preset}.cfg")))
+        print("dataset", preset, hashlib.sha256(serialize_dataset(ds).encode()).hexdigest())
     cfg = cfgmod.load_config(REPO / "configs" / "micro.cfg")
     train_ds, test_ds = split_dataset(
         generate_dataset(cfgmod.sim_config(cfg)), *cfgmod.split_params(cfg)

@@ -205,6 +205,8 @@ def load_dataset(path) -> Dataset:
         num_classes = int(lines[1].split()[1])
     except (IndexError, ValueError):
         raise DatasetFormatError(f"{path}: malformed classes line: {lines[1]!r}")
+    if num_classes < 1:
+        raise DatasetFormatError(f"{path}: classes line {lines[1]!r}: the count must be >= 1")
     try:
         sequences = _parse_records(lines, num_classes)
     except DatasetFormatError as exc:

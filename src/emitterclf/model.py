@@ -74,7 +74,6 @@ __all__ = [
     "forward",
     "backward",
     "predict",
-    "param_count",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointData",
@@ -115,6 +114,8 @@ class ModelConfig:
             raise ValueError("need layers >= 1, hidden >= 1, num_classes >= 2")
         if self.embed_dim < 1 or any(n < 1 for n in self.mlp_hidden):
             raise ValueError("need embed_dim >= 1 and every mlp_hidden size >= 1")
+        if self.bins < 2:
+            raise ValueError(f"need bins >= 2, got {self.bins}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.readout not in ("last", "mean"):
@@ -391,10 +392,6 @@ def predict(
     logits, _ = forward(model, build_batch([ns]), training=False, keep_cache=False)
     probs = softmax(logits[0])
     return int(np.argmax(probs)), probs
-
-
-def param_count(model: SequenceClassifier) -> int:
-    return sum(v.size for v in model.params.values())
 
 
 @dataclass

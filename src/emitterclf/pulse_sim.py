@@ -7,15 +7,26 @@ Each emitter class is described by one pattern per attribute:
 * RF patterns: ``constant(v)`` or ``hop(dwell, v1..vK)`` (each value held
   for `dwell` consecutive pulses, cycled).
 
+Each pattern gives its values through one method, ``column(t, u)``: the
+attribute at pulse indices ``t``; jitter reads ``u``, one uniform draw per pulse.
+
 Measurement noise is additive Gaussian per attribute value. Sequence
 generation derives a child RNG from (seed, class_id, sequence_index), so
 datasets are identical no matter how generation work is ordered or
 distributed.
+
+Draw order, on which every dataset's bytes depend: a sequence of T pulses
+takes one ``uniform(-1, 1)`` block of shape (T, J) from its rng, J being the
+number of jitter attributes in (PRI, PW) order, read pulse-major (pulse t's
+PRI draw, then its PW draw, then pulse t + 1's). Then, if the noise fraction
+is > 0, it takes one (T, 3) ``standard_normal`` block. No other pattern
+draws. A scalar loop over pulses, then attributes, makes the same draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +44,6 @@ __all__ = [
     "generate_dataset",
     "add_noise",
     "parse_pattern",
-    "format_pattern",
     "VALUE_FLOOR",
 ]
 
@@ -49,8 +59,8 @@ class ConstantPattern:
         if not self.value > 0.0:
             raise ValueError("constant pattern value must be > 0")
 
-    def value_at(self, t: int, rng) -> float:
-        return self.value
+    def column(self, t: np.ndarray, u) -> np.ndarray:
+        return np.full(len(t), self.value)
 
     @property
     def mean(self) -> float:
@@ -66,20 +76,20 @@ class ConstantPattern:
 
 
 @dataclass(frozen=True)
-class StaggerPattern:
-    """Deterministic cycle through a fixed list of values."""
+class _CyclePattern:
+    """Cycle through values, each held for `dwell` pulses; subclasses set `kind`, `dwell`."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
-            raise ValueError("stagger pattern needs at least one value")
+            raise ValueError(f"{self.kind} pattern needs at least one value")
         if any(v <= 0.0 for v in self.values):
-            raise ValueError("stagger pattern values must be > 0")
+            raise ValueError(f"{self.kind} pattern values must be > 0")
 
-    def value_at(self, t: int, rng) -> float:
-        return self.values[t % len(self.values)]
+    def column(self, t: np.ndarray, u) -> np.ndarray:
+        return np.array(self.values)[(t // self.dwell) % len(self.values)]
 
     @property
     def mean(self) -> float:
@@ -92,6 +102,14 @@ class StaggerPattern:
     @property
     def hi(self) -> float:
         return max(self.values)
+
+
+@dataclass(frozen=True)
+class StaggerPattern(_CyclePattern):
+    """Deterministic cycle through a fixed list of values, one per pulse."""
+
+    kind = "stagger"
+    dwell = 1
 
 
 @dataclass(frozen=True)
@@ -107,8 +125,8 @@ class JitterPattern:
         if not 0.0 <= self.deviation <= 0.5:
             raise ValueError("jitter deviation must lie in [0, 0.5]")
 
-    def value_at(self, t: int, rng) -> float:
-        return self.center * (1.0 + self.deviation * rng.uniform(-1.0, 1.0))
+    def column(self, t, u: np.ndarray) -> np.ndarray:
+        return self.center * (1.0 + self.deviation * u)
 
     @property
     def mean(self) -> float:
@@ -124,35 +142,16 @@ class JitterPattern:
 
 
 @dataclass(frozen=True)
-class HopPattern:
+class HopPattern(_CyclePattern):
     """Cycle through values, holding each for `dwell` consecutive pulses."""
 
-    values: tuple[float, ...]
     dwell: int
+    kind = "hop"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError("hop pattern needs at least one value")
-        if any(v <= 0.0 for v in self.values):
-            raise ValueError("hop pattern values must be > 0")
+        super().__post_init__()
         if self.dwell < 1:
             raise ValueError("hop dwell must be >= 1")
-
-    def value_at(self, t: int, rng) -> float:
-        return self.values[(t // self.dwell) % len(self.values)]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    @property
-    def lo(self) -> float:
-        return min(self.values)
-
-    @property
-    def hi(self) -> float:
-        return max(self.values)
 
 
 _PRI_PW_PATTERNS = (ConstantPattern, StaggerPattern, JitterPattern)
@@ -186,18 +185,6 @@ def parse_pattern(tokens: list[str], *, rf: bool = False):
         raise ValueError(f"malformed {kind} pattern: {' '.join(tokens)!r}") from exc
     family = "rf" if rf else "pri/pw"
     raise ValueError(f"unknown {family} pattern kind {kind!r}")
-
-
-def format_pattern(p) -> str:
-    if isinstance(p, ConstantPattern):
-        return f"constant {p.value:g}"
-    if isinstance(p, StaggerPattern):
-        return "stagger " + " ".join(f"{v:g}" for v in p.values)
-    if isinstance(p, JitterPattern):
-        return f"jitter {p.center:g} {p.deviation:g}"
-    if isinstance(p, HopPattern):
-        return f"hop {p.dwell} " + " ".join(f"{v:g}" for v in p.values)
-    raise TypeError(f"not a pattern: {p!r}")
 
 
 @dataclass(frozen=True)
@@ -260,28 +247,41 @@ def _cap_pw(values: np.ndarray) -> None:
     np.minimum(values[:, 1], values[:, 0] * (1.0 - 1e-9), out=values[:, 1])
 
 
+@lru_cache(maxsize=64)
+def _spec_columns(spec: EmitterSpec):
+    """Per-spec constants, read-only: every column over MAX_SEQ_LEN pulses (a
+    jitter column holds its center), the (column, pattern) jitter pairs, the means."""
+    patterns = (spec.pri, spec.pw, spec.rf)
+    t, u = np.arange(MAX_SEQ_LEN), np.zeros(MAX_SEQ_LEN)
+    table = np.stack([p.column(t, u) for p in patterns], axis=1)
+    means = np.array([p.mean for p in patterns])
+    table.setflags(write=False)
+    means.setflags(write=False)
+    jitter = tuple((j, p) for j, p in enumerate(patterns) if isinstance(p, JitterPattern))
+    return table, jitter, means
+
+
 def generate_sequence(
     spec: EmitterSpec, length: int, noise_fraction: float, rng: np.random.Generator
 ) -> PulseSequence:
-    """Generate one sequence: pattern value at each step plus Gaussian noise.
+    """Generate one sequence: pattern values at each step plus Gaussian noise.
 
     Noise sigma is `noise_fraction` times the pattern mean of the attribute;
     values are clamped to stay strictly positive. Lengths below the nominal
-    dataset minimum of 7 are allowed here (degenerate-length probes);
-    dataset generation enforces the [7, 512] range via SimConfig.
+    dataset minimum of 7 are allowed here (degenerate-length probes); dataset
+    generation enforces [7, 512] via SimConfig. Draw order: module docstring.
     """
     if not 1 <= length <= MAX_SEQ_LEN:
         raise ValueError(f"length must lie in [1, {MAX_SEQ_LEN}], got {length}")
     if noise_fraction < 0.0:
         raise ValueError("noise_fraction must be >= 0")
-    patterns = (spec.pri, spec.pw, spec.rf)
-    values = np.empty((length, 3), dtype=np.float64)
-    for t in range(length):
-        for j, pat in enumerate(patterns):
-            values[t, j] = pat.value_at(t, rng)
+    table, jitter, means = _spec_columns(spec)
+    values = table[:length].copy()
+    u = rng.uniform(-1.0, 1.0, size=(length, len(jitter)))
+    for k, (j, pat) in enumerate(jitter):
+        values[:, j] = pat.column(None, u[:, k])
     if noise_fraction > 0.0:
-        sigma = np.array([noise_fraction * p.mean for p in patterns])
-        values += rng.standard_normal(values.shape) * sigma
+        values += rng.standard_normal(values.shape) * (noise_fraction * means)
         np.maximum(values, VALUE_FLOOR, out=values)
         _cap_pw(values)
     return PulseSequence(values, spec.class_id, check=False)

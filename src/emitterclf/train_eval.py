@@ -200,20 +200,6 @@ class EvalReport:
     n_test: int
     metadata: dict = field(default_factory=dict)
 
-    def check_consistency(self, class_counts=None) -> None:
-        row_sums = self.confusion.sum(axis=1)
-        assert int(self.confusion.sum()) == self.n_test
-        if class_counts is not None:
-            assert np.array_equal(row_sums, class_counts)
-        accs = []
-        for c, acc in enumerate(self.per_class_accuracy):
-            if row_sums[c] == 0:
-                assert acc is None
-            else:
-                assert acc == self.confusion[c, c] / row_sums[c]
-                accs.append(acc)
-        assert self.macro_accuracy == sum(accs) / len(accs)
-
 
 def classification_report(truths, preds, num_classes: int):
     """(macro accuracy, per-class accuracies, confusion) from raw pairs."""

@@ -419,6 +419,8 @@ def _train_args(data, out, overrides):
     [
         ("gru_discretized", "model.embed=0", "embed_dim"),
         ("stats_mlp", "model.mlp_hidden=8,0", "mlp_hidden"),
+        ("gru_discretized", "model.bins=-1", "bins"),
+        ("gru_discretized", "model.bins=1", "bins"),
         ("joint_lstm", "train.lr=nan", "learning_rate"),
         ("joint_lstm", "train.lr=0", "learning_rate"),
         ("joint_lstm", "train.beta1=1", "beta1"),

@@ -128,11 +128,15 @@ def test_load_extreme_lengths_and_labels(tmp_path):
         ("seq 0 7\n" + "100 1 9000\n" * 6 + "-5 1 9000\n", "field pri"),
         ("seq 0 2\n100 1 9000\n100 200 9000\n", "pw >= pri"),
         ("seq 0 3\n" + "100 1 9000\n" * 2, "record 1: truncated"),  # the last record, one row short
+        ("classes 0\n", "classes line 'classes 0'"),  # header only
+        ("classes -2\n" + "seq 0 7\n" + "100 1 9000\n" * 7, "classes line 'classes -2'"),
     ],
 )
 def test_load_rejects_malformed_records(tmp_path, record, match):
     path = tmp_path / "bad.txt"
-    path.write_text("# emitter-dataset v1\nclasses 17\n" + record)
+    # a case that starts with its own classes line replaces the default one
+    classes = "" if record.startswith("classes ") else "classes 17\n"
+    path.write_text("# emitter-dataset v1\n" + classes + record)
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: .*{match}"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # short-length warning precedes some errors

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitterclf.data_model import serialize_dataset
 from emitterclf.pulse_sim import (
@@ -10,12 +12,12 @@ from emitterclf.pulse_sim import (
     SimConfig,
     StaggerPattern,
     add_noise,
-    format_pattern,
     generate_dataset,
     generate_sequence,
     parse_pattern,
 )
 from emitterclf.seeding import derive_rng
+from reference_pulse_sim import ref_generate_sequence
 
 
 def _spec(pri, pw, rf, class_id=0):
@@ -39,7 +41,7 @@ def test_constant_rf_exact():
 
 def test_hop_pattern_dwell():
     pat = HopPattern((9000.0, 9200.0), dwell=3)
-    vals = [pat.value_at(t, None) for t in range(8)]
+    vals = list(pat.column(np.arange(8), None))
     assert vals == [9000.0, 9000.0, 9000.0, 9200.0, 9200.0, 9200.0, 9000.0, 9000.0]
 
 
@@ -47,7 +49,7 @@ def test_jitter_statistical_oracle():
     """Uniform jitter: long-run mean near center, support center*(1 +/- dev)."""
     pat = JitterPattern(100.0, 0.1)
     rng = derive_rng(7)
-    draws = np.array([pat.value_at(t, rng) for t in range(100_000)])
+    draws = pat.column(np.arange(100_000), rng.uniform(-1.0, 1.0, size=100_000))
     assert abs(draws.mean() - 100.0) / 100.0 < 0.01
     assert draws.min() >= 90.0 and draws.max() <= 110.0
 
@@ -70,6 +72,19 @@ def test_emitter_spec_validation():
         _spec(HopPattern((100.0,), 1), ConstantPattern(1.0), ConstantPattern(9000.0))
     with pytest.raises(ValueError, match="RF pattern"):
         _spec(ConstantPattern(100.0), ConstantPattern(1.0), JitterPattern(9000.0, 0.1))
+
+
+def format_pattern(p) -> str:
+    """The config-token form of a pattern, as `parse_pattern` reads it."""
+    if isinstance(p, ConstantPattern):
+        return f"constant {p.value:g}"
+    if isinstance(p, StaggerPattern):
+        return "stagger " + " ".join(f"{v:g}" for v in p.values)
+    if isinstance(p, JitterPattern):
+        return f"jitter {p.center:g} {p.deviation:g}"
+    if isinstance(p, HopPattern):
+        return f"hop {p.dwell} " + " ".join(f"{v:g}" for v in p.values)
+    raise TypeError(f"not a pattern: {p!r}")
 
 
 def test_pattern_parse_format_round_trip():
@@ -129,7 +144,7 @@ def test_zero_noise_pattern_fidelity():
         for j, pat in enumerate((spec.pri, spec.pw, spec.rf)):
             if isinstance(pat, JitterPattern):
                 continue
-            expect = [pat.value_at(t, None) for t in range(seq.length)]
+            expect = pat.column(np.arange(seq.length), None)
             assert np.array_equal(seq.values[:, j], expect)
 
 
@@ -209,3 +224,43 @@ def test_sequence_order_independent_seeding():
     ds = generate_dataset(cfg)
     from_dataset = ds.sequences[10 + 3]  # class 1 block starts at 10
     assert direct == from_dataset
+
+
+def _pattern(draw, kind, lo, hi):
+    value = st.floats(lo, hi)
+    if kind == "constant":
+        return ConstantPattern(draw(value))
+    if kind == "jitter":
+        return JitterPattern(draw(value), draw(st.floats(0.0, 0.5)))
+    values = tuple(draw(st.lists(value, min_size=1, max_size=5)))
+    if kind == "stagger":
+        return StaggerPattern(values)
+    return HopPattern(values, draw(st.integers(1, 40)))
+
+
+@pytest.mark.parametrize("rf_kind", ["constant", "hop"])
+@pytest.mark.parametrize("pw_kind", ["constant", "stagger", "jitter"])
+@pytest.mark.parametrize("pri_kind", ["constant", "stagger", "jitter"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_generate_sequence_matches_scalar_reference(pri_kind, pw_kind, rf_kind, data):
+    """Same bytes as the per-pulse scalar loop, and the rng ends in the same state.
+
+    The PRI range lies above every PW value, so any pair of patterns is a
+    valid spec; jitter on both PRI and PW covers the interleaved draws.
+    """
+    spec = _spec(
+        _pattern(data.draw, pri_kind, 200.0, 2000.0),
+        _pattern(data.draw, pw_kind, 1.0, 60.0),
+        _pattern(data.draw, rf_kind, 1000.0, 10000.0),
+        class_id=data.draw(st.integers(0, 16)),
+    )
+    length = data.draw(st.integers(1, 512))
+    noise = data.draw(st.sampled_from([0.0, 0.07, 0.5]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    seq = generate_sequence(spec, length, noise, rng)
+    ref = ref_generate_sequence(spec, length, noise, ref_rng)
+    assert seq.label == ref.label
+    assert seq.values.tobytes() == ref.values.tobytes()
+    assert rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
