@@ -141,15 +141,14 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
             if f"{prefix}.{field}" not in cfg:
                 raise ConfigError(f"missing required config key '{prefix}.{field}'")
         counts.append(_get(cfg, f"{prefix}.count", _one(int), _REQUIRED))
+        patterns = {}
+        for field in ("pri", "pw", "rf"):
+            try:
+                patterns[field] = parse_pattern(cfg[f"{prefix}.{field}"], rf=field == "rf")
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}.{field}: {exc}") from exc
         try:
-            emitters.append(
-                EmitterSpec(
-                    class_id=c,
-                    pri=parse_pattern(cfg[f"{prefix}.pri"]),
-                    pw=parse_pattern(cfg[f"{prefix}.pw"]),
-                    rf=parse_pattern(cfg[f"{prefix}.rf"], rf=True),
-                )
-            )
+            emitters.append(EmitterSpec(class_id=c, **patterns))
         except ValueError as exc:
             raise ConfigError(f"class {c}: {exc}") from exc
     extra = [k for k in cfg if k.startswith("sim.class.")]

@@ -15,8 +15,9 @@ Four architectures share one interface:
 The three recurrent architectures run one stacked-layer loop. Rows are
 sorted by valid length, an input adapter turns the (B, T, K) channels into
 the layer-0 kernel input (T, S, B, Din), the L layers run with dropout
-between them, and the readout takes the top layer's hidden states back to
-the original row order. The adapters are: one single-channel stream per
+between them (in training; inference steps them together per timestep),
+and the readout takes the top layer's hidden states back to the original
+row order. The adapters are: one single-channel stream per
 stack (attribute-specific LSTM), the full channel vector as one stream
 (joint LSTM), and embedding lookup of the discretized attributes, whose
 gradient is layer 0's input gradient (GRU). `_RECURRENT` names each
@@ -55,6 +56,7 @@ from .nn_core import (
     relu_forward,
     softmax,
 )
+from .nn_core.recurrent import active_rows, gru_steps, lstm_steps
 from .normalize import (
     DEFAULT_BINS,
     SCHEMES,
@@ -243,22 +245,22 @@ def _sort_by_length(batch: NormalizedBatch):
     return batch.channels[order], lengths, kernel_lengths, order, inv
 
 
-def _length_mask(lengths, t_max):
-    return (np.arange(t_max)[:, None] < lengths[None, :]).astype(np.float64)
+def _readout(cfg, states, lengths):
+    """Top-layer states, one (S, B, H) block per step -> (B, S*H) features.
 
-
-def _readout(cfg, h_seq, lengths):
-    """(T, S, B, H) -> (B, S*H) features.
-
-    With the carried state, h at the final index already equals h at each
-    sequence's last valid step, so the `last` readout takes t = T-1.
+    With the carried state, the final step's state already equals each
+    sequence's state at its last valid step, so `last` keeps only that.
+    `mean` keeps a running masked sum that starts from +0.0, as numpy's
+    (h_seq * mask).sum(axis=0) does: a sum of -0.0 terms is +0.0 in both.
     """
     if cfg.readout == "last":
-        feats = h_seq[-1]
+        for feats in states:
+            pass
     else:
-        t_max = h_seq.shape[0]
-        mask = _length_mask(lengths, t_max)  # (T, B)
-        feats = (h_seq * mask[:, None, :, None]).sum(axis=0) / lengths[None, :, None]
+        feats = 0.0  # the first += makes a new (S, B, H) array, 0.0 + term
+        for t, h in enumerate(states):
+            feats += h * (t < lengths)[None, :, None].astype(np.float64)
+        feats = feats / lengths[None, :, None]
     s, b, h = feats.shape
     return np.ascontiguousarray(feats.transpose(1, 0, 2)).reshape(b, s * h)
 
@@ -271,7 +273,7 @@ def _readout_backward(cfg, dfeats, shape, lengths):
     if cfg.readout == "last":
         dh_seq[-1] = dgrouped
     else:
-        mask = _length_mask(lengths, t)
+        mask = (np.arange(t)[:, None] < lengths[None, :]).astype(np.float64)
         dh_seq += dgrouped[None] * (mask[:, None, :, None] / lengths[None, None, :, None])
     return dh_seq
 
@@ -285,37 +287,44 @@ def forward(
 ) -> tuple[np.ndarray, dict | None]:
     """Compute pre-softmax logits for a padded batch.
 
-    Returns (logits, cache); the cache feeds `backward`. With
-    keep_cache=False the recurrent kernels keep no per-step stores (gate
-    activations, cell states) and the cache is None, so `backward` refuses
-    the result; inference uses this, and the logits are bit-identical.
+    Returns (logits, cache); the cache feeds `backward`. Inference
+    (keep_cache=False) returns cache None, which `backward` refuses: its
+    recurrent layers step together, one layer's state at t being the next
+    layer's input at t, so each holds a two-slot ring of (S, B, H) states and
+    no (T, S, B, H) array exists. The logits are bit-identical either way.
     """
     cfg = model.config
     p = model.params
     cache: dict = {}
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
-        kernel = globals()[f"{cell}_forward"]
         channels, lengths, kernel_lengths, order, inv = _sort_by_length(batch)
         h = _recurrent_input(cfg, p, channels)
-        layer_caches = []
-        drop_masks = []
-        for layer in range(cfg.layers):
-            params = [p[f"{cell}{layer}.{s}"] for s in suffixes]
-            h, lc = kernel(*params, h, kernel_lengths, keep_cache=keep_cache)
-            layer_caches.append(lc)
-            if layer < cfg.layers - 1:
-                h, dm = dropout(h, cfg.dropout, training, rng)
-                drop_masks.append(dm)
+        layers = [[p[f"{cell}{layer}.{s}"] for s in suffixes] for layer in range(cfg.layers)]
+        if keep_cache or training:
+            kernel = globals()[f"{cell}_forward"]
+            layer_caches = []
+            drop_masks = []
+            for layer, params in enumerate(layers):
+                h, lc = kernel(*params, h, kernel_lengths, keep_cache=keep_cache)
+                layer_caches.append(lc)
+                if layer < cfg.layers - 1:
+                    h, dm = dropout(h, cfg.dropout, training, rng)
+                    drop_masks.append(dm)
+            cache.update(
+                layer_caches=layer_caches,
+                drop_masks=drop_masks,
+                h_shape=h.shape,
+                lengths=lengths,
+                order=order,
+                ids=channels,
+            )
+        else:  # lockstep: each layer's state at t is the next layer's input at t
+            active, _ = active_rows(kernel_lengths, h.shape[0], h.shape[2])
+            h = iter(h)
+            for params in layers:
+                h = globals()[f"{cell}_steps"](*params, h, active, None, 2)
         feats = _readout(cfg, h, lengths)[inv]
-        cache.update(
-            layer_caches=layer_caches,
-            drop_masks=drop_masks,
-            h_shape=h.shape,
-            lengths=lengths,
-            order=order,
-            ids=channels,
-        )
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
         m3 = batch.mask()[:, :, None].astype(bool)

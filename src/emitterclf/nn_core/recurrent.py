@@ -42,13 +42,15 @@ slab and read back from there as the previous state. Only h_seq, the
 output, has all B rows, and of it only the carried rows h_seq[t, :, n:] are
 copied each step.
 
-Inference (keep_cache=False) keeps no per-step stores and returns
-(h_seq, None). The same loop runs on blocks sized for B rows instead: each
-step overwrites one gate-activation block (and one tanh(c) block, or one
-r * h block), and the LSTM cell state alternates between two blocks,
-starting at row B * (t % 2), because step t reads step t-1's c. The GRU's
-previous state is already in h_seq. Every product and elementwise pass
-keeps its shape and order, so h_seq is bit-identical to the caching run.
+Steps. One generator per cell (lstm_steps, gru_steps) runs the loop: it
+takes each step's (S, B, Din) input and yields the step's (S, B, H) state,
+carried rows included, written to h_out[t % slots]. lstm_forward and
+gru_forward drive it over x into all of h_seq. Inference chains one per
+layer, so layer l's state at t, held in a two-slot ring, is layer l+1's
+input at t. Without offsets (keep_cache=False) the stores shrink to one
+step of B rows, and the LSTM cell state alternates between two blocks, as
+step t reads step t-1's c. Every product and elementwise pass keeps its
+shape and order, so the states are bit-identical either way.
 
 Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
 `layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once
@@ -85,16 +87,19 @@ import math
 import numpy as np
 
 __all__ = [
+    "active_rows",
     "init_lstm_params",
+    "lstm_steps",
     "lstm_forward",
     "lstm_backward",
     "init_gru_params",
+    "gru_steps",
     "gru_forward",
     "gru_backward",
 ]
 
 
-def _active_rows(lengths, T: int, B: int) -> tuple[list[int], list[int]]:
+def active_rows(lengths, T: int, B: int) -> tuple[list[int], list[int]]:
     """Rows active per step, and the row offset of each step's store block.
 
     Requires lengths sorted non-increasing. T may exceed the longest valid
@@ -150,6 +155,66 @@ def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U, b
 
 
+def _run_steps(step_fn, params, x, lengths, keep_cache):
+    """Drive a step generator over all of x (T, S, B, Din); see lstm_forward."""
+    T, S, B, _ = x.shape
+    active, offsets = active_rows(lengths, T, B)
+    steps = step_fn(*params, x, active, offsets if keep_cache else None, T)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:  # the generator returns its stores, then h_seq
+        h_seq = done.value[-1]
+        return h_seq, ((x, *done.value, active, offsets) if keep_cache else None)
+
+
+def lstm_steps(W, U, b, xs, active, offsets, slots):
+    """Step the LSTM from a zero state: yield each step's (S, B, H) state.
+
+    xs yields each step's (S, B, Din) input; active[t] counts its active
+    rows. Step t's state, carried rows included, goes to h_out[t % slots]:
+    slots=T keeps every state (h_seq), slots=2 is a ring. With offsets (see
+    active_rows) every step's backward stores are kept; offsets=None keeps
+    one step of scratch. Returns (acts, c_store, tc_store, h_out).
+    """
+    S, H = U.shape[:2]
+    B = active[0]  # every row is active at step 0
+    W_h, U_h, b_h = (_halved(a, 3 * H) for a in (W, U, b))
+    blk = S * H
+    keep = offsets is not None
+    rows = offsets[-1] if keep else B
+    acts = np.empty(4 * blk * rows)  # (i, f, o, g) per step
+    c_store = np.empty(blk * (rows if keep else 2 * B))
+    tc_store = np.empty(blk * rows)
+    h_out = np.empty((slots, S, B, H))  # after the stores: a lower peak RSS in training
+    h_prev = c_prev = np.zeros((S, B, H))
+    for t, x_t in enumerate(xs):
+        n = active[t]
+        lo = blk * offsets[t] if keep else 0
+        hi = lo + blk * n
+        a = acts[4 * lo : 4 * hi].reshape(4, S, n, H)
+        _input_gates(a, x_t, W_h, b_h)
+        a += _gate_view(np.matmul(h_prev[:, :n], U_h), 4)
+        np.tanh(a, out=a)
+        sig = a[:3]
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = a
+        c_lo = lo if keep else blk * B * (t % 2)  # step t reads step t-1's c
+        c = c_store[c_lo : c_lo + blk * n].reshape(S, n, H)
+        np.multiply(f, c_prev[:, :n], out=c)
+        c += i * g
+        tc = tc_store[lo:hi].reshape(S, n, H)
+        np.tanh(c, out=tc)
+        h = h_out[t % slots]
+        np.multiply(o, tc, out=h[:, :n])
+        if n < B:
+            h[:, n:] = h_prev[:, n:]
+        h_prev, c_prev = h, c
+        yield h
+    return acts, c_store, tc_store, h_out
+
+
 def lstm_forward(W, U, b, x, lengths=None, keep_cache=True):
     """Run the LSTM over a right-padded batch from a zero initial state.
 
@@ -159,43 +224,7 @@ def lstm_forward(W, U, b, x, lengths=None, keep_cache=True):
     valid length. keep_cache=False keeps no per-step stores for a backward
     pass and returns (h_seq, None); h_seq is bit-identical either way.
     """
-    T, S, B, Din = x.shape
-    H = U.shape[1]
-    active, offsets = _active_rows(lengths, T, B)
-    W_h, U_h, b_h = (_halved(a, 3 * H) for a in (W, U, b))
-    blk = S * H
-    rows = offsets[-1] if keep_cache else B
-    acts = np.empty(4 * blk * rows)  # (i, f, o, g) per step
-    c_store = np.empty(blk * (offsets[-1] if keep_cache else 2 * B))
-    tc_store = np.empty(blk * rows)
-    h_seq = np.empty((T, S, B, H))
-    h_prev = c_prev = np.zeros((S, B, H))
-    for t in range(T):
-        n = active[t]
-        lo = blk * offsets[t] if keep_cache else 0
-        hi = lo + blk * n
-        a = acts[4 * lo : 4 * hi].reshape(4, S, n, H)
-        _input_gates(a, x[t], W_h, b_h)
-        a += _gate_view(np.matmul(h_prev[:, :n], U_h), 4)
-        np.tanh(a, out=a)
-        sig = a[:3]
-        sig += 1.0
-        sig *= 0.5
-        i, f, o, g = a
-        c_lo = lo if keep_cache else blk * B * (t % 2)  # step t reads step t-1's c
-        c = c_store[c_lo : c_lo + blk * n].reshape(S, n, H)
-        np.multiply(f, c_prev[:, :n], out=c)
-        c += i * g
-        tc = tc_store[lo:hi].reshape(S, n, H)
-        np.tanh(c, out=tc)
-        h = h_seq[t]
-        np.multiply(o, tc, out=h[:, :n])
-        if n < B:
-            h[:, n:] = h_prev[:, n:]
-        h_prev, c_prev = h, c
-    if not keep_cache:
-        return h_seq, None
-    return h_seq, (x, acts, c_store, tc_store, h_seq, active, offsets)
+    return _run_steps(lstm_steps, (W, U, b), x, lengths, keep_cache)
 
 
 def lstm_backward(W, U, b, cache, dh_seq):
@@ -268,25 +297,25 @@ def init_gru_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U_ru, U_n, b
 
 
-def gru_forward(W, U_ru, U_n, b, x, lengths=None, keep_cache=True):
-    """Run the GRU over a right-padded batch; mirrors lstm_forward."""
-    T, S, B, Din = x.shape
-    H = U_n.shape[1]
-    active, offsets = _active_rows(lengths, T, B)
+def gru_steps(W, U_ru, U_n, b, xs, active, offsets, slots):
+    """Step the GRU; mirrors lstm_steps and returns (acts, rh_store, h_out)."""
+    S, H = U_n.shape[:2]
+    B = active[0]
     W_h, U_h, b_h = (_halved(a, 2 * H) for a in (W, U_ru, b))
     blk = S * H
-    rows = offsets[-1] if keep_cache else B
+    keep = offsets is not None
+    rows = offsets[-1] if keep else B
     acts = np.empty(3 * blk * rows)  # (r, u, n) per step
     rh_store = np.empty(blk * rows)
-    h_seq = np.empty((T, S, B, H))
+    h_out = np.empty((slots, S, B, H))
     h_prev = np.zeros((S, B, H))
-    for t in range(T):
+    for t, x_t in enumerate(xs):
         n = active[t]
-        lo = blk * offsets[t] if keep_cache else 0
+        lo = blk * offsets[t] if keep else 0
         hi = lo + blk * n
         a = acts[3 * lo : 3 * hi].reshape(3, S, n, H)
         hs = h_prev[:, :n]
-        _input_gates(a, x[t], W_h, b_h)
+        _input_gates(a, x_t, W_h, b_h)
         ru = a[:2]
         ru += _gate_view(np.matmul(hs, U_h), 2)
         np.tanh(ru, out=ru)
@@ -297,7 +326,7 @@ def gru_forward(W, U_ru, U_n, b, x, lengths=None, keep_cache=True):
         np.multiply(r, hs, out=rh)
         n_gate += np.matmul(rh, U_n)
         np.tanh(n_gate, out=n_gate)
-        h = h_seq[t]
+        h = h_out[t % slots]
         hn = h[:, :n]
         np.subtract(1.0, u, out=hn)
         hn *= n_gate
@@ -305,9 +334,13 @@ def gru_forward(W, U_ru, U_n, b, x, lengths=None, keep_cache=True):
         if n < B:
             h[:, n:] = h_prev[:, n:]
         h_prev = h
-    if not keep_cache:
-        return h_seq, None
-    return h_seq, (x, acts, rh_store, h_seq, active, offsets)
+        yield h
+    return acts, rh_store, h_out
+
+
+def gru_forward(W, U_ru, U_n, b, x, lengths=None, keep_cache=True):
+    """Run the GRU over a right-padded batch; mirrors lstm_forward."""
+    return _run_steps(gru_steps, (W, U_ru, U_n, b), x, lengths, keep_cache)
 
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):

@@ -25,6 +25,7 @@ draws. A scalar loop over pulses, then attributes, makes the same draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,8 +57,8 @@ class ConstantPattern:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError("constant pattern value must be > 0")
+        if not (math.isfinite(self.value) and self.value > 0.0):
+            raise ValueError(f"constant pattern value must be finite and > 0, got {self.value}")
 
     def column(self, t: np.ndarray, u) -> np.ndarray:
         return np.full(len(t), self.value)
@@ -85,8 +86,8 @@ class _CyclePattern:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError(f"{self.kind} pattern needs at least one value")
-        if any(v <= 0.0 for v in self.values):
-            raise ValueError(f"{self.kind} pattern values must be > 0")
+        if not all(math.isfinite(v) and v > 0.0 for v in self.values):
+            raise ValueError(f"{self.kind} pattern values must be finite and > 0, got {self.values}")
 
     def column(self, t: np.ndarray, u) -> np.ndarray:
         return np.array(self.values)[(t // self.dwell) % len(self.values)]
@@ -97,11 +98,11 @@ class _CyclePattern:
 
     @property
     def lo(self) -> float:
-        return min(self.values)
+        return float(np.min(self.values))  # NaN propagates, unlike min()
 
     @property
     def hi(self) -> float:
-        return max(self.values)
+        return float(np.max(self.values))
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,9 @@ class JitterPattern:
     deviation: float
 
     def __post_init__(self):
-        if not self.center > 0.0:
-            raise ValueError("jitter center must be > 0")
-        if not 0.0 <= self.deviation <= 0.5:
+        if not (math.isfinite(self.center) and self.center > 0.0):
+            raise ValueError(f"jitter center must be finite and > 0, got {self.center}")
+        if not 0.0 <= self.deviation <= 0.5:  # also refuses NaN
             raise ValueError("jitter deviation must lie in [0, 0.5]")
 
     def column(self, t, u: np.ndarray) -> np.ndarray:

@@ -272,6 +272,28 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("sim.class.0.pri", "stagger,100,nan"),
+        ("sim.class.0.pri", "stagger,100,inf"),
+        ("sim.class.0.pri", "jitter,inf,0.1"),
+        ("sim.class.0.pri", "jitter,nan,0.1"),
+        ("sim.class.1.pri", "jitter,120,nan"),
+        ("sim.class.0.pw", "constant,nan"),
+        ("sim.class.0.pw", "constant,inf"),
+        ("sim.class.2.rf", "hop,2,5000,inf"),
+        ("sim.class.2.rf", "hop,2,nan,5500"),
+    ],
+)
+def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
+    out = tmp_path / "d.ds"
+    capsys.readouterr()
+    assert main(["gen", "--config", MICRO, "--out", str(out), "--set", f"{key}={value}"]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -437,6 +459,40 @@ def test_train_refuses_values_that_break_training(tmp_path, capsys, micro_data, 
     assert main(_train_args(micro_data, out, _ARCH_OVERRIDES[arch] + [override])) == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCH_OVERRIDES))
+@given(epochs=st.integers(2, 4), dropout=st.sampled_from(["0.0", "0.3"]), data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_resume_equals_uninterrupted_run_property(
+    tmp_path_factory, micro_data, arch, epochs, dropout, data
+):
+    """Train k epochs, save, `train --resume` to N epochs: the parameters, the
+    optimizer state and the epoch losses are byte-equal to one N-epoch run."""
+    k = data.draw(st.integers(1, epochs - 1), label="k")
+    out = tmp_path_factory.mktemp("resume")
+
+    def run(name, n, *resume):
+        args = ["train", "--config", MICRO, "--data", str(micro_data), "--out", str(out / name)]
+        for item in _ARCH_OVERRIDES[arch] + [f"model.dropout={dropout}", f"train.epochs={n}"]:
+            args += ["--set", item]
+        assert main(args + list(resume)) == 0
+        return load_checkpoint(out / name)
+
+    full = run("full.ckpt", epochs)
+    run("head.ckpt", k)
+    resumed = run("resumed.ckpt", epochs, "--resume", str(out / "head.ckpt"))
+    assert len(full.meta["epoch_losses"]) == epochs
+    losses = [np.array(ck.meta["epoch_losses"]).tobytes() for ck in (resumed, full)]
+    assert losses[0] == losses[1]
+    assert resumed.adam_t == full.adam_t
+    for got, want in (
+        (resumed.model.params, full.model.params),
+        (resumed.opt_tensors, full.opt_tensors),
+    ):
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 _KEYS = [f"model.{k}" for k in "arch norm hidden layers dropout readout bins embed mlp_hidden".split()]

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emitterclf.model as model_module
 from emitterclf.data_model import Dataset, PulseSequence
 from emitterclf.model import (
     ModelConfig,
@@ -13,7 +17,7 @@ from emitterclf.model import (
     predict,
     save_checkpoint,
 )
-from emitterclf.nn_core import Adam, softmax, weighted_cross_entropy
+from emitterclf.nn_core import Adam, fc_forward, softmax, weighted_cross_entropy
 from emitterclf.normalize import NormalizedBatch, build_batch, fit_domain_stats, normalize_scheme
 from emitterclf.seeding import derive_rng
 
@@ -296,6 +300,104 @@ def test_backward_refuses_cacheless_forward(arch):
     logits, cache = forward(model, _batch(ds, cfg, fit_domain_stats(ds)), keep_cache=False)
     with pytest.raises(ValueError, match="kept no cache"):
         backward(model, cache, np.ones_like(logits))
+
+
+_RECURRENT_CONFIGS = {a: kw for a, kw in _GRADCHECK_CONFIGS.items() if a != "stats_mlp"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arch=st.sampled_from(sorted(_RECURRENT_CONFIGS)),
+    readout=st.sampled_from(["last", "mean"]),
+    layers=st.integers(1, 3),
+    hidden=st.sampled_from([1, 3, 4, 8, 17]),
+    lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+    extra=st.integers(0, 3),
+    negative_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    arch="attribute_specific_lstm", readout="mean", layers=2, hidden=17,
+    lengths=[5, 1, 3], extra=2, negative_zero=True, seed=0,
+)
+@example(
+    arch="joint_lstm", readout="mean", layers=3, hidden=17,
+    lengths=[1, 4, 4], extra=0, negative_zero=True, seed=1,
+)
+@example(
+    arch="gru_discretized", readout="mean", layers=2, hidden=17,
+    lengths=[2, 1, 6], extra=3, negative_zero=False, seed=2,
+)
+def test_lockstep_inference_matches_caching_forward(
+    arch, readout, layers, hidden, lengths, extra, negative_zero, seed
+):
+    """Inference steps the layers together; its features and logits keep the bytes
+    of the layer-by-layer caching forward.
+
+    negative_zero shuts the top LSTM layer's output gate (o = 0.0) over a
+    negative cell state, so every top-layer state is -0.0. The features must
+    then carry the sign that the caching forward's formulas give: h_seq[-1]
+    for `last`, numpy's (h_seq * mask).sum(axis=0) for `mean`.
+    """
+    rng = np.random.default_rng(seed)
+    kw = dict(_RECURRENT_CONFIGS[arch], hidden=hidden)
+    cfg = _cfg(architecture=arch, readout=readout, layers=layers, dropout=0.3, **kw)
+    model = build(cfg, seed=seed % 1000)
+    for p in model.params.values():
+        p += 0.5 * rng.normal(size=p.shape)
+    shut = negative_zero and arch != "gru_discretized"
+    if shut:
+        model.params[f"lstm{layers - 1}.b"][:, 2 * hidden :] = -1e3  # o and g gates
+    b, t = len(lengths), max(lengths) + extra
+    shape = (b, t, cfg.channels)
+    if arch == "gru_discretized":
+        channels = rng.integers(0, cfg.bins, size=shape)
+    else:
+        channels = rng.normal(scale=3.0, size=shape)
+    channels[np.arange(t)[None, :] >= np.array(lengths)[:, None]] = 0
+    batch = NormalizedBatch(
+        channels=channels, lengths=np.array(lengths), labels=np.zeros(b, dtype=np.int64)
+    )
+    feats = []
+
+    def capture(x, W, bias):
+        feats.append(x.copy())
+        return fc_forward(x, W, bias)
+
+    with mock.patch.object(model_module, "fc_forward", capture):
+        want, _ = forward(model, batch)
+        got, cache = forward(model, batch, keep_cache=False)
+    assert cache is None
+    assert feats[1].tobytes() == feats[0].tobytes()
+    assert got.tobytes() == want.tobytes()
+    if shut:
+        states = np.full((t,) + feats[0].shape, -0.0)
+        want_feats = states[-1] if readout == "last" else states.sum(axis=0)
+        assert feats[0].tobytes() == want_feats.tobytes()
+
+
+def test_inference_forward_holds_no_time_slab():
+    """One inference forward of the proposed model (T=512, S=6, B=32, H=64,
+    L=2) peaks below a quarter of one (T, S, B, H) float64 slab."""
+    cfg = _cfg(hidden=64, num_classes=17)
+    model = build(cfg, seed=0)
+    t, b = 512, 32
+    rng = np.random.default_rng(0)
+    lengths = np.sort(rng.integers(1, t + 1, size=b))
+    lengths[-1] = t
+    batch = NormalizedBatch(
+        channels=rng.uniform(-1.0, 1.0, size=(b, t, cfg.channels)),
+        lengths=lengths,
+        labels=np.zeros(b, dtype=np.int64),
+    )
+    slab = 8 * t * cfg.channels * b * cfg.hidden
+    tracemalloc.start()
+    try:
+        forward(model, batch, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < slab / 4
 
 
 @settings(max_examples=40, deadline=None)

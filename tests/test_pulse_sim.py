@@ -63,6 +63,19 @@ def test_pattern_validation():
         HopPattern((9000.0,), dwell=0)
     with pytest.raises(ValueError):
         ConstantPattern(0.0)
+    nan, inf = float("nan"), float("inf")
+    for make in (
+        lambda: ConstantPattern(nan),
+        lambda: ConstantPattern(inf),
+        lambda: StaggerPattern((100.0, nan)),
+        lambda: StaggerPattern((inf, 100.0)),
+        lambda: JitterPattern(inf, 0.1),
+        lambda: JitterPattern(nan, 0.1),
+        lambda: JitterPattern(100.0, nan),
+        lambda: HopPattern((5000.0, inf), dwell=2),
+    ):
+        with pytest.raises(ValueError, match="finite|deviation"):
+            make()
 
 
 def test_emitter_spec_validation():
@@ -72,6 +85,11 @@ def test_emitter_spec_validation():
         _spec(HopPattern((100.0,), 1), ConstantPattern(1.0), ConstantPattern(9000.0))
     with pytest.raises(ValueError, match="RF pattern"):
         _spec(ConstantPattern(100.0), ConstantPattern(1.0), JitterPattern(9000.0, 0.1))
+    # a NaN that got past the pattern checks still fails the PW < PRI check
+    pri = StaggerPattern((100.0, 140.0))
+    object.__setattr__(pri, "values", (100.0, float("nan")))
+    with pytest.raises(ValueError, match="max PW"):
+        _spec(pri, ConstantPattern(1.0), ConstantPattern(9000.0))
 
 
 def format_pattern(p) -> str:
