@@ -16,7 +16,6 @@ compare the lines:
 import argparse
 import dataclasses
 import hashlib
-import inspect
 import sys
 from pathlib import Path
 
@@ -38,8 +37,6 @@ SCHEMES = {
     "gru_discretized": "discretize",
     "stats_mlp": "minmax",
 }
-# forward's inference mode, where the keyword exists (older commits lack it)
-INFER = {"keep_cache": False} if "keep_cache" in inspect.signature(forward).parameters else {}
 
 
 def _sha(*arrays) -> str:
@@ -76,7 +73,7 @@ def main() -> None:
                 normalize_scheme(s, result.stats, model_cfg.scheme, model_cfg.bins)
                 for s in test_ds.sequences
             ]
-            logits, _ = forward(result.model, build_batch(normalized), **INFER)
+            logits, _ = forward(result.model, build_batch(normalized))
             confusion = evaluate(result.model, test_ds, result.stats).confusion
             parts = [_sha(*params), _sha(result.epoch_losses), _sha(logits), _sha(confusion)]
             total.update("".join(parts).encode())

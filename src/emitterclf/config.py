@@ -50,8 +50,6 @@ _KEY_PATTERNS = tuple(
     for p in (
         r"sim\.(seed|length_min|length_max|noise|classes)$",
         r"sim\.class\.\d+\.(count|pri|pw|rf)$",
-        r"model\.(arch|norm|hidden|layers|dropout|readout|bins|embed|mlp_hidden|gru_use_rf)$",
-        r"train\.(epochs|batch|lr|beta1|beta2|eps|clip|shuffle|patience|seed)$",
         r"split\.(fraction|seed)$",
         r"eval\.(fractions|replicates)$",
     )
@@ -59,7 +57,7 @@ _KEY_PATTERNS = tuple(
 
 
 def _check_key(key: str) -> None:
-    if not any(p.match(key) for p in _KEY_PATTERNS):
+    if key not in _MODEL_KEYS | _TRAIN_KEYS and not any(p.match(key) for p in _KEY_PATTERNS):
         raise ConfigError(f"unknown config key {key!r}")
 
 
@@ -130,6 +128,38 @@ def _bool(tokens):
     return v == "true"
 
 
+# key -> (dataclass field, converter); ModelConfig and TrainConfig hold the defaults
+_MODEL_KEYS = {
+    "model.arch": ("architecture", _one(str)),
+    "model.norm": ("scheme", _one(str)),
+    "model.hidden": ("hidden", _one(int)),
+    "model.layers": ("layers", _one(int)),
+    "model.dropout": ("dropout", _one(float)),
+    "model.readout": ("readout", _one(str)),
+    "model.bins": ("bins", _one(int)),
+    "model.embed": ("embed_dim", _one(int)),
+    "model.mlp_hidden": ("mlp_hidden", lambda ts: [int(t) for t in ts]),
+    "model.gru_use_rf": ("gru_use_rf", _bool),
+}
+_TRAIN_KEYS = {
+    "train.epochs": ("epochs", _one(int)),
+    "train.batch": ("batch_size", _one(int)),
+    "train.lr": ("learning_rate", _one(float)),
+    "train.beta1": ("beta1", _one(float)),
+    "train.beta2": ("beta2", _one(float)),
+    "train.eps": ("eps", _one(float)),
+    "train.clip": ("clip_norm", _one(float)),
+    "train.shuffle": ("shuffle", _bool),
+    "train.patience": ("patience", _one(int)),
+    "train.seed": ("seed", _one(int)),
+}
+
+
+def _fields(cfg, keys) -> dict:
+    """Dataclass kwargs for the keys of one section that cfg sets."""
+    return {f: _get(cfg, key, conv, _REQUIRED) for key, (f, conv) in keys.items() if key in cfg}
+
+
 def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
     """Build a SimConfig from the sim.* section."""
     num_classes = _get(cfg, "sim.classes", _one(int), _REQUIRED)
@@ -170,39 +200,22 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
 
 def model_config(cfg: dict[str, list[str]], num_classes: int) -> ModelConfig:
     """Build a ModelConfig from the model.* section; class count from data."""
+    kw = {"architecture": "attribute_specific_lstm", "scheme": "minmax+perseq"}
+    kw.update(_fields(cfg, _MODEL_KEYS))
     try:
-        return ModelConfig(
-            architecture=_get(cfg, "model.arch", _one(str), "attribute_specific_lstm"),
-            scheme=_get(cfg, "model.norm", _one(str), "minmax+perseq"),
-            num_classes=num_classes,
-            hidden=_get(cfg, "model.hidden", _one(int), 64),
-            layers=_get(cfg, "model.layers", _one(int), 2),
-            dropout=_get(cfg, "model.dropout", _one(float), 0.5),
-            readout=_get(cfg, "model.readout", _one(str), "last"),
-            bins=_get(cfg, "model.bins", _one(int), 256),
-            embed_dim=_get(cfg, "model.embed", _one(int), 32),
-            mlp_hidden=tuple(_get(cfg, "model.mlp_hidden", lambda ts: [int(t) for t in ts], [64, 64])),
-            gru_use_rf=_get(cfg, "model.gru_use_rf", _bool, False),
-        )
+        return ModelConfig(num_classes=num_classes, **kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def train_config(cfg: dict[str, list[str]], seed: int | None = None) -> TrainConfig:
-    patience = _get(cfg, "train.patience", _one(int), 0)
+    kw = _fields(cfg, _TRAIN_KEYS)
+    if seed is not None:
+        kw["seed"] = seed
+    if kw.get("patience", 1) < 1:  # patience 0 means no early stopping
+        kw["patience"] = None
     try:
-        return TrainConfig(
-            epochs=_get(cfg, "train.epochs", _one(int), 40),
-            batch_size=_get(cfg, "train.batch", _one(int), 32),
-            learning_rate=_get(cfg, "train.lr", _one(float), 1e-3),
-            beta1=_get(cfg, "train.beta1", _one(float), 0.9),
-            beta2=_get(cfg, "train.beta2", _one(float), 0.999),
-            eps=_get(cfg, "train.eps", _one(float), 1e-8),
-            clip_norm=_get(cfg, "train.clip", _one(float), 5.0),
-            seed=seed if seed is not None else _get(cfg, "train.seed", _one(int), 0),
-            shuffle=_get(cfg, "train.shuffle", _bool, True),
-            patience=patience if patience > 0 else None,
-        )
+        return TrainConfig(**kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -14,17 +14,17 @@ Four architectures share one interface:
 
 The three recurrent architectures run one stacked-layer loop. Rows are
 sorted by valid length, an input adapter turns the (B, T, K) channels into
-the layer-0 kernel input (T, S, B, Din), the L layers run with dropout
-between them (in training; inference steps them together per timestep),
-and the readout takes the top layer's hidden states back to the original
-row order. The adapters are: one single-channel stream per
-stack (attribute-specific LSTM), the full channel vector as one stream
-(joint LSTM), and embedding lookup of the discretized attributes, whose
-gradient is layer 0's input gradient (GRU). `_RECURRENT` names each
-architecture's cell and the parameter suffixes in kernel argument order.
+the layer-0 kernel input (T, S, B, Din), the L layers run (with training,
+one after another with dropout between them; in inference, together per
+timestep), and the readout takes the top layer's hidden states back to the
+original row order. The adapters are: one single-channel stream per stack
+(attribute-specific LSTM), the full channel vector as one stream (joint
+LSTM), and embedding lookup of the discretized attributes, whose gradient
+is layer 0's input gradient (GRU). `_RECURRENT` names each architecture's
+cell and the parameter suffixes in kernel argument order.
 
-Dropout is applied between stacked recurrent layers and before the final FC
-layer during training. Checkpoints store named float64 tensors plus the
+With training=True, dropout is applied between stacked recurrent layers and
+before the final FC layer. Checkpoints store named float64 tensors plus the
 model config, the fitted domain stats, and optional optimizer state.
 """
 
@@ -136,14 +136,10 @@ class ModelConfig:
         return tuple(range(3 if self.gru_use_rf else 2))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mlp_hidden"] = list(self.mlp_hidden)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["mlp_hidden"] = tuple(d.get("mlp_hidden", (64, 64)))
         return cls(**d)
 
 
@@ -234,15 +230,13 @@ def _recurrent_input_backward(cfg: ModelConfig, p: dict, ids: np.ndarray, dx, gr
 def _sort_by_length(batch: NormalizedBatch):
     """Recurrent kernels want rows ordered by non-increasing valid length.
 
-    Returns (channels, lengths, kernel_lengths, order, inverse); callers see
-    original row order, the permutation stays internal.
+    Returns (channels, lengths, order, inverse); callers see original row
+    order, the permutation stays internal.
     """
     order = np.argsort(-batch.lengths, kind="stable")
     inv = np.empty_like(order)
     inv[order] = np.arange(len(order))
-    lengths = batch.lengths[order]
-    kernel_lengths = None if lengths[-1] == batch.channels.shape[1] else lengths
-    return batch.channels[order], lengths, kernel_lengths, order, inv
+    return batch.channels[order], batch.lengths[order], order, inv
 
 
 def _readout(cfg, states, lengths):
@@ -283,33 +277,33 @@ def forward(
     batch: NormalizedBatch,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    keep_cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
     """Compute pre-softmax logits for a padded batch.
 
-    Returns (logits, cache); the cache feeds `backward`. Inference
-    (keep_cache=False) returns cache None, which `backward` refuses: its
-    recurrent layers step together, one layer's state at t being the next
-    layer's input at t, so each holds a two-slot ring of (S, B, H) states and
-    no (T, S, B, H) array exists. The logits are bit-identical either way.
+    training=True runs the recurrent layers one after another, applies
+    dropout (drawn from rng) between them and before the FC layer, and
+    returns (logits, cache) for `backward`. training=False (inference)
+    applies no dropout and returns (logits, None): its recurrent layers step
+    together, one layer's state at t being the next layer's input at t, so
+    each holds a two-slot ring of (S, B, H) states and no (T, S, B, H) array
+    exists. At dropout 0 the logits are bit-identical either way.
     """
     cfg = model.config
     p = model.params
     cache: dict = {}
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
-        channels, lengths, kernel_lengths, order, inv = _sort_by_length(batch)
+        channels, lengths, order, inv = _sort_by_length(batch)
         h = _recurrent_input(cfg, p, channels)
         layers = [[p[f"{cell}{layer}.{s}"] for s in suffixes] for layer in range(cfg.layers)]
-        if keep_cache or training:
+        if training:
             kernel = globals()[f"{cell}_forward"]
-            layer_caches = []
-            drop_masks = []
+            layer_caches, drop_masks = [], []
             for layer, params in enumerate(layers):
-                h, lc = kernel(*params, h, kernel_lengths, keep_cache=keep_cache)
+                h, lc = kernel(*params, h, lengths)
                 layer_caches.append(lc)
                 if layer < cfg.layers - 1:
-                    h, dm = dropout(h, cfg.dropout, training, rng)
+                    h, dm = dropout(h, cfg.dropout, rng)
                     drop_masks.append(dm)
             cache.update(
                 layer_caches=layer_caches,
@@ -320,10 +314,10 @@ def forward(
                 ids=channels,
             )
         else:  # lockstep: each layer's state at t is the next layer's input at t
-            active, _ = active_rows(kernel_lengths, h.shape[0], h.shape[2])
+            active, _ = active_rows(lengths, h.shape[0], h.shape[2])
             h = iter(h)
             for params in layers:
-                h = globals()[f"{cell}_steps"](*params, h, active, None, 2)
+                h = globals()[f"{cell}_steps"](*params, h, active, None)
         feats = _readout(cfg, h, lengths)[inv]
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
@@ -331,8 +325,7 @@ def forward(
         mins = np.where(m3, x, np.inf).min(axis=1)
         maxs = np.where(m3, x, -np.inf).max(axis=1)
         feats = np.concatenate([mins, maxs], axis=1)
-        acts = []
-        pre = []
+        acts, pre = [], []
         h = feats
         for i in range(len(cfg.mlp_hidden)):
             z = fc_forward(h, p[f"mlp{i}.W"], p[f"mlp{i}.b"])
@@ -344,18 +337,17 @@ def forward(
     else:  # pragma: no cover
         raise ValueError(cfg.architecture)
 
-    feats_d, fc_drop = dropout(feats, cfg.dropout, training, rng)
-    logits = fc_forward(feats_d, p["fc.W"], p["fc.b"])
-    if not keep_cache:
-        return logits, None
+    if not training:
+        return fc_forward(feats, p["fc.W"], p["fc.b"]), None
+    feats_d, fc_drop = dropout(feats, cfg.dropout, rng)
     cache.update(feats_d=feats_d, fc_drop=fc_drop)
-    return logits, cache
+    return fc_forward(feats_d, p["fc.W"], p["fc.b"]), cache
 
 
 def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss w.r.t. every model parameter."""
     if cache is None:
-        raise ValueError("the forward pass kept no cache (keep_cache=False); backward needs one")
+        raise ValueError("forward(training=False) kept no cache; backward needs training=True")
     cfg = model.config
     p = model.params
     grads: dict[str, np.ndarray] = {}
@@ -398,7 +390,7 @@ def predict(
     Argmax ties break toward the lowest class index.
     """
     ns = normalize_scheme(seq, stats, model.config.scheme, model.config.bins)
-    logits, _ = forward(model, build_batch([ns]), training=False, keep_cache=False)
+    logits, _ = forward(model, build_batch([ns]))
     probs = softmax(logits[0])
     return int(np.argmax(probs)), probs
 

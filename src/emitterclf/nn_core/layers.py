@@ -49,19 +49,17 @@ def fc_backward(
     return x.T @ dy, dy.sum(axis=0), dy @ W.T
 
 
-def dropout(
-    x: np.ndarray, p: float, training: bool, rng=None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout.
+def dropout(x: np.ndarray, p: float, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted (training-time) dropout; inference does not call it.
 
-    Training: zero each element with probability p and scale survivors by
-    1/(1-p). Inference (or p == 0): identity. Returns (output, keep_mask);
-    the mask is None when no dropout was applied and otherwise multiplies
-    upstream gradients in the backward pass.
+    Zero each element with probability p and scale survivors by 1/(1-p);
+    p == 0 is the identity. Returns (output, keep_mask); the mask is None
+    when no dropout was applied and otherwise multiplies upstream gradients
+    in the backward pass.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x, None
     # Draw over every element, padding included, so the rng stream depends
     # only on x.shape; the draw then becomes the mask in place.

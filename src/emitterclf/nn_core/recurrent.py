@@ -44,13 +44,14 @@ copied each step.
 
 Steps. One generator per cell (lstm_steps, gru_steps) runs the loop: it
 takes each step's (S, B, Din) input and yields the step's (S, B, H) state,
-carried rows included, written to h_out[t % slots]. lstm_forward and
-gru_forward drive it over x into all of h_seq. Inference chains one per
-layer, so layer l's state at t, held in a two-slot ring, is layer l+1's
-input at t. Without offsets (keep_cache=False) the stores shrink to one
-step of B rows, and the LSTM cell state alternates between two blocks, as
-step t reads step t-1's c. Every product and elementwise pass keeps its
-shape and order, so the states are bit-identical either way.
+carried rows included. Training (lstm_forward, gru_forward) passes offsets
+and keeps every step's stores and every state (h_seq). Inference
+(model.forward with training=False) passes none and chains one generator
+per layer, so layer l's state at t is layer l+1's input at t: the stores
+shrink to one step of B rows, the states to a two-slot ring, and the LSTM
+cell state alternates between two blocks, as step t reads step t-1's c.
+Every product and elementwise pass keeps its shape and order, so the
+states are bit-identical either way.
 
 Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
 `layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once
@@ -155,27 +156,25 @@ def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U, b
 
 
-def _run_steps(step_fn, params, x, lengths, keep_cache):
+def _run_steps(step_fn, params, x, lengths):
     """Drive a step generator over all of x (T, S, B, Din); see lstm_forward."""
-    T, S, B, _ = x.shape
-    active, offsets = active_rows(lengths, T, B)
-    steps = step_fn(*params, x, active, offsets if keep_cache else None, T)
+    active, offsets = active_rows(lengths, x.shape[0], x.shape[2])
+    steps = step_fn(*params, x, active, offsets)
     try:
         while True:
             next(steps)
     except StopIteration as done:  # the generator returns its stores, then h_seq
-        h_seq = done.value[-1]
-        return h_seq, ((x, *done.value, active, offsets) if keep_cache else None)
+        return done.value[-1], (x, *done.value, active, offsets)
 
 
-def lstm_steps(W, U, b, xs, active, offsets, slots):
+def lstm_steps(W, U, b, xs, active, offsets):
     """Step the LSTM from a zero state: yield each step's (S, B, H) state.
 
     xs yields each step's (S, B, Din) input; active[t] counts its active
-    rows. Step t's state, carried rows included, goes to h_out[t % slots]:
-    slots=T keeps every state (h_seq), slots=2 is a ring. With offsets (see
-    active_rows) every step's backward stores are kept; offsets=None keeps
-    one step of scratch. Returns (acts, c_store, tc_store, h_out).
+    rows. With offsets (see active_rows) every step's backward stores are
+    kept, and step t's state, carried rows included, goes to h_out[t] (h_seq).
+    offsets=None keeps one step of scratch and a two-slot ring h_out[t % 2].
+    Returns (acts, c_store, tc_store, h_out).
     """
     S, H = U.shape[:2]
     B = active[0]  # every row is active at step 0
@@ -186,7 +185,7 @@ def lstm_steps(W, U, b, xs, active, offsets, slots):
     acts = np.empty(4 * blk * rows)  # (i, f, o, g) per step
     c_store = np.empty(blk * (rows if keep else 2 * B))
     tc_store = np.empty(blk * rows)
-    h_out = np.empty((slots, S, B, H))  # after the stores: a lower peak RSS in training
+    h_out = np.empty((len(active) if keep else 2, S, B, H))  # after the stores: lower training RSS
     h_prev = c_prev = np.zeros((S, B, H))
     for t, x_t in enumerate(xs):
         n = active[t]
@@ -206,7 +205,7 @@ def lstm_steps(W, U, b, xs, active, offsets, slots):
         c += i * g
         tc = tc_store[lo:hi].reshape(S, n, H)
         np.tanh(c, out=tc)
-        h = h_out[t % slots]
+        h = h_out[t % len(h_out)]
         np.multiply(o, tc, out=h[:, :n])
         if n < B:
             h[:, n:] = h_prev[:, n:]
@@ -215,16 +214,15 @@ def lstm_steps(W, U, b, xs, active, offsets, slots):
     return acts, c_store, tc_store, h_out
 
 
-def lstm_forward(W, U, b, x, lengths=None, keep_cache=True):
+def lstm_forward(W, U, b, x, lengths=None):
     """Run the LSTM over a right-padded batch from a zero initial state.
 
     x: (T, S, B, Din); lengths: (B,) valid lengths sorted non-increasing, or
     None for a fully rectangular batch. Returns (h_seq, cache) where h_seq
     is (T, S, B, H) with the state carried unchanged past each sequence's
-    valid length. keep_cache=False keeps no per-step stores for a backward
-    pass and returns (h_seq, None); h_seq is bit-identical either way.
+    valid length, and the cache feeds lstm_backward.
     """
-    return _run_steps(lstm_steps, (W, U, b), x, lengths, keep_cache)
+    return _run_steps(lstm_steps, (W, U, b), x, lengths)
 
 
 def lstm_backward(W, U, b, cache, dh_seq):
@@ -297,7 +295,7 @@ def init_gru_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U_ru, U_n, b
 
 
-def gru_steps(W, U_ru, U_n, b, xs, active, offsets, slots):
+def gru_steps(W, U_ru, U_n, b, xs, active, offsets):
     """Step the GRU; mirrors lstm_steps and returns (acts, rh_store, h_out)."""
     S, H = U_n.shape[:2]
     B = active[0]
@@ -307,7 +305,7 @@ def gru_steps(W, U_ru, U_n, b, xs, active, offsets, slots):
     rows = offsets[-1] if keep else B
     acts = np.empty(3 * blk * rows)  # (r, u, n) per step
     rh_store = np.empty(blk * rows)
-    h_out = np.empty((slots, S, B, H))
+    h_out = np.empty((len(active) if keep else 2, S, B, H))
     h_prev = np.zeros((S, B, H))
     for t, x_t in enumerate(xs):
         n = active[t]
@@ -326,7 +324,7 @@ def gru_steps(W, U_ru, U_n, b, xs, active, offsets, slots):
         np.multiply(r, hs, out=rh)
         n_gate += np.matmul(rh, U_n)
         np.tanh(n_gate, out=n_gate)
-        h = h_out[t % slots]
+        h = h_out[t % len(h_out)]
         hn = h[:, :n]
         np.subtract(1.0, u, out=hn)
         hn *= n_gate
@@ -338,9 +336,9 @@ def gru_steps(W, U_ru, U_n, b, xs, active, offsets, slots):
     return acts, rh_store, h_out
 
 
-def gru_forward(W, U_ru, U_n, b, x, lengths=None, keep_cache=True):
+def gru_forward(W, U_ru, U_n, b, x, lengths=None):
     """Run the GRU over a right-padded batch; mirrors lstm_forward."""
-    return _run_steps(gru_steps, (W, U_ru, U_n, b), x, lengths, keep_cache)
+    return _run_steps(gru_steps, (W, U_ru, U_n, b), x, lengths)
 
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):

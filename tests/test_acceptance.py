@@ -178,11 +178,11 @@ def _full_model_instance_err(rng, seed):
     weights = rng.uniform(0.5, 2.0, size=3)
 
     def loss():
-        logits, _ = forward(model, batch)
+        logits, _ = forward(model, batch, training=True)
         l, _ = weighted_cross_entropy(softmax(logits), batch.labels, weights)
         return l
 
-    logits, cache = forward(model, batch)
+    logits, cache = forward(model, batch, training=True)
     _, dlogits = weighted_cross_entropy(softmax(logits), batch.labels, weights)
     grads = backward(model, cache, dlogits)
     return max(_rel_err(grads[name], _numeric_grad(loss, p)) for name, p in model.params.items())
@@ -528,8 +528,8 @@ def test_criterion_9_padding_invariance():
     padded = NormalizedBatch(channels=padded_channels, lengths=lengths, labels=labels)
 
     weights = np.ones(3)
-    logits_a, cache_a = forward(model, base)
-    logits_b, cache_b = forward(model, padded)
+    logits_a, cache_a = forward(model, base, training=True)
+    logits_b, cache_b = forward(model, padded, training=True)
     logits_exact = np.array_equal(logits_a, logits_b)
 
     _, dl_a = weighted_cross_entropy(softmax(logits_a), labels, weights)

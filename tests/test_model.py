@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -10,6 +11,7 @@ import emitterclf.model as model_module
 from emitterclf.data_model import Dataset, PulseSequence
 from emitterclf.model import (
     ModelConfig,
+    SequenceClassifier,
     backward,
     build,
     forward,
@@ -202,10 +204,10 @@ def test_padding_never_changes_logits(small_dataset, arch, scheme):
     assert np.array_equal(logits, logits_padded)
 
 
-def _model_gradcheck(cfg, ds, seed, tol=1e-4, training=False):
+def _model_gradcheck(cfg, ds, seed, tol=1e-4):
     """End-to-end finite-difference check of every parameter tensor.
 
-    In training mode the dropout rng is re-derived for every forward pass,
+    Every forward pass runs training=True with the dropout rng re-derived,
     so each loss evaluation applies the same dropout masks.
     """
     stats = fit_domain_stats(ds)
@@ -214,8 +216,7 @@ def _model_gradcheck(cfg, ds, seed, tol=1e-4, training=False):
     weights = np.ones(cfg.num_classes)
 
     def run():
-        rng = derive_rng(seed, "dropout") if training else None
-        return forward(model, batch, training=training, rng=rng)
+        return forward(model, batch, training=True, rng=derive_rng(seed, "dropout"))
 
     def loss():
         logits, _ = run()
@@ -276,18 +277,24 @@ def test_end_to_end_gradients_with_dropout(arch):
     """Training mode: inter-layer and pre-FC dropout masks enter backward."""
     ds = _tiny_dataset()
     cfg = _cfg(architecture=arch, layers=2, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
-    _model_gradcheck(cfg, ds, seed=14, training=True)
+    _model_gradcheck(cfg, ds, seed=14)
+
+
+def _without_dropout(model):
+    """The same params under a dropout-0 config: its training forward is deterministic."""
+    return SequenceClassifier(dataclasses.replace(model.config, dropout=0.0), model.params)
 
 
 @pytest.mark.parametrize("readout", ["last", "mean"])
 @pytest.mark.parametrize("arch", list(_GRADCHECK_CONFIGS))
 def test_cacheless_forward_logits_bit_identical(small_dataset, arch, readout):
-    """Inference without backward stores returns the same logit bytes."""
+    """Inference keeps no backward stores, applies no dropout, and returns the
+    logit bytes of the training forward without dropout."""
     cfg = _cfg(architecture=arch, readout=readout, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
     model = build(cfg, seed=12)
     batch = _batch(small_dataset, cfg, fit_domain_stats(small_dataset))
-    logits, cache = forward(model, batch)
-    logits_free, cache_free = forward(model, batch, keep_cache=False)
+    logits, cache = forward(_without_dropout(model), batch, training=True)
+    logits_free, cache_free = forward(model, batch)
     assert cache is not None and cache_free is None
     assert logits_free.tobytes() == logits.tobytes()
 
@@ -297,7 +304,7 @@ def test_backward_refuses_cacheless_forward(arch):
     ds = _tiny_dataset()
     cfg = _cfg(architecture=arch, **_GRADCHECK_CONFIGS[arch])
     model = build(cfg, seed=13)
-    logits, cache = forward(model, _batch(ds, cfg, fit_domain_stats(ds)), keep_cache=False)
+    logits, cache = forward(model, _batch(ds, cfg, fit_domain_stats(ds)))
     with pytest.raises(ValueError, match="kept no cache"):
         backward(model, cache, np.ones_like(logits))
 
@@ -332,7 +339,8 @@ def test_lockstep_inference_matches_caching_forward(
     arch, readout, layers, hidden, lengths, extra, negative_zero, seed
 ):
     """Inference steps the layers together; its features and logits keep the bytes
-    of the layer-by-layer caching forward.
+    of the layer-by-layer caching forward (training=True on a dropout-0 copy),
+    so inference also applies none of the model's dropout 0.3.
 
     negative_zero shuts the top LSTM layer's output gate (o = 0.0) over a
     negative cell state, so every top-layer state is -0.0. The features must
@@ -365,8 +373,8 @@ def test_lockstep_inference_matches_caching_forward(
         return fc_forward(x, W, bias)
 
     with mock.patch.object(model_module, "fc_forward", capture):
-        want, _ = forward(model, batch)
-        got, cache = forward(model, batch, keep_cache=False)
+        want, _ = forward(_without_dropout(model), batch, training=True)
+        got, cache = forward(model, batch)
     assert cache is None
     assert feats[1].tobytes() == feats[0].tobytes()
     assert got.tobytes() == want.tobytes()
@@ -393,7 +401,7 @@ def test_inference_forward_holds_no_time_slab():
     slab = 8 * t * cfg.channels * b * cfg.hidden
     tracemalloc.start()
     try:
-        forward(model, batch, keep_cache=False)
+        forward(model, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,8 +438,8 @@ def test_padding_never_changes_logits_property(arch, readout, layers, lengths, e
     padded = NormalizedBatch(channels=channels, lengths=base.lengths, labels=base.labels)
     want, _ = forward(model, base)
     for batch in (base, padded):
-        for keep_cache in (True, False):
-            got, _ = forward(model, batch, keep_cache=keep_cache)
+        for training in (True, False):
+            got, _ = forward(model, batch, training=training)
             assert np.array_equal(got, want)
 
 

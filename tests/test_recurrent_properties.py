@@ -16,6 +16,7 @@ from emitterclf.nn_core import (
     lstm_backward,
     lstm_forward,
 )
+from emitterclf.nn_core.recurrent import active_rows, gru_steps, lstm_steps
 from reference_recurrent import (
     ref_gru_backward,
     ref_gru_forward,
@@ -27,6 +28,7 @@ CELLS = {
     "lstm": (init_lstm_params, lstm_forward, lstm_backward, ref_lstm_forward, ref_lstm_backward),
     "gru": (init_gru_params, gru_forward, gru_backward, ref_gru_forward, ref_gru_backward),
 }
+STEPS = {"lstm": lstm_steps, "gru": gru_steps}
 
 
 @st.composite
@@ -97,10 +99,13 @@ def test_grouped_stack_equals_independent_groups(case):
 @settings(max_examples=80, deadline=None)
 @given(kernel_cases())
 def test_cacheless_forward_matches_caching_forward(case):
-    """keep_cache=False returns the same h_seq bytes and no cache."""
+    """Stepping without offsets (one step of scratch, a two-slot state ring, as
+    inference runs) yields each step's state with the caching h_seq's bytes."""
     cell, params, x, lengths, _ = case
-    fwd = CELLS[cell][1]
-    h_seq, _ = fwd(*params, x, lengths)
-    h_free, cache = fwd(*params, x, lengths, keep_cache=False)
-    assert cache is None
-    assert _same_bits(h_free, h_seq)
+    h_seq, _ = CELLS[cell][1](*params, x, lengths)
+    T, _, B, _ = x.shape
+    active, _ = active_rows(lengths, T, B)
+    t = -1
+    for t, h in enumerate(STEPS[cell](*params, iter(x), active, None)):
+        assert _same_bits(h, h_seq[t])  # before the ring reuses h's slot
+    assert t == T - 1
