@@ -75,17 +75,18 @@ def _outdir(args) -> Path:
 
 def cmd_gen(args) -> int:
     if args.from_dataset:
+        if args.config or args.set:
+            raise UsageError("gen --from-dataset reads no --config or --set (its noise is --noise)")
         ds = load_dataset(args.from_dataset)
         seed = args.seed if args.seed is not None else 0
-        out = add_noise(ds, args.noise, seed)
-        save_dataset(out, args.out)
+        out = add_noise(ds, args.noise or 0.0, seed)
     else:
+        if args.noise is not None:
+            raise UsageError("gen --noise needs --from-dataset; set sim.noise to simulate noise")
         if not args.config:
             raise UsageError("gen needs --config (or --from-dataset for a noisy copy)")
-        cfg = _load_cfg(args)
-        sim = cfgmod.sim_config(cfg, seed=args.seed)
-        out = generate_dataset(sim)
-        save_dataset(out, args.out)
+        out = generate_dataset(cfgmod.sim_config(_load_cfg(args), seed=args.seed))
+    save_dataset(out, args.out)
     counts = ",".join(str(int(c)) for c in out.class_counts)
     print(f"wrote {args.out}: N={out.n} C={out.num_classes} class_counts={counts}")
     return 0
@@ -105,10 +106,12 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     train_cfg = cfgmod.train_config(cfg, seed=args.seed)
     train_ds = load_dataset(args.data)
+    stats, optimizer, prior = None, None, []
     if args.resume:
         ck = _load_checkpoint_for(args.resume, train_ds)
-        model = ck.model
-        stats = ck.stats
+        if ck.opt_tensors is None or ck.adam_t is None:
+            raise ValueError(f"{args.resume}: checkpoint carries no optimizer state to resume")
+        model, stats, prior = ck.model, ck.stats, list(ck.meta.get("epoch_losses", []))
         optimizer = Adam(
             model.params,
             train_cfg.learning_rate,
@@ -116,30 +119,20 @@ def cmd_train(args) -> int:
             train_cfg.beta2,
             train_cfg.eps,
         )
-        if ck.opt_tensors is None or ck.adam_t is None:
-            raise ValueError(f"{args.resume}: checkpoint carries no optimizer state to resume")
         optimizer.load_state(ck.opt_tensors, ck.adam_t)
-        start_epoch = int(ck.meta.get("epochs_run", 0))
-        prior = list(ck.meta.get("epoch_losses", []))
     else:
         model_cfg = cfgmod.model_config(cfg, num_classes=train_ds.num_classes)
         model = build(model_cfg, seed=train_cfg.seed)
-        stats = None
-        optimizer = None
-        start_epoch = 0
-        prior = []
     result = train(
         model,
         train_ds,
         train_cfg,
         stats=stats,
-        start_epoch=start_epoch,
         optimizer=optimizer,
         prior_losses=prior,
         on_epoch=lambda e, l: print(f"epoch {e}: loss {l:.6f}"),
     )
     meta = {
-        "epochs_run": len(result.epoch_losses),
         "epoch_losses": result.epoch_losses,
         "train_fingerprint": dataset_fingerprint(train_ds),
         "train_config": train_cfg.to_dict(),
@@ -240,7 +233,7 @@ def build_parser() -> _Parser:
     _add_common(p, config_required=False)
     p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--from-dataset", default=None, help="perturb an existing dataset instead")
-    p.add_argument("--noise", type=float, default=0.0, help="noise fraction for --from-dataset")
+    p.add_argument("--noise", type=float, default=None, help="noise fraction for --from-dataset")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="fit stats, train a model, write a checkpoint")
@@ -251,7 +244,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_common(p, config_required=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="test dataset file")
     p.add_argument("--out-dir", required=True)

@@ -9,7 +9,7 @@ comma-separated).
 Sections::
 
     sim.seed / sim.length_min / sim.length_max / sim.noise / sim.classes
-    sim.class.<i>.count
+    sim.class.<i>.count  (i = 0 .. sim.classes-1, written without leading zeros)
     sim.class.<i>.pri   constant v | stagger v1 v2 ... | jitter center dev
     sim.class.<i>.pw    (same pattern algebra as pri)
     sim.class.<i>.rf    constant v | hop dwell v1 v2 ...
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 
+from .data_model import MAX_SEQ_LEN, MIN_SEQ_LEN
 from .model import ModelConfig
 from .pulse_sim import EmitterSpec, SimConfig, parse_pattern
 from .train_eval import DEFAULT_NOISE_FRACTIONS, TrainConfig
@@ -49,7 +50,7 @@ _KEY_PATTERNS = tuple(
     re.compile(p)
     for p in (
         r"sim\.(seed|length_min|length_max|noise|classes)$",
-        r"sim\.class\.\d+\.(count|pri|pw|rf)$",
+        r"sim\.class\.(0|[1-9]\d*)\.(count|pri|pw|rf)$",
         r"split\.(fraction|seed)$",
         r"eval\.(fractions|replicates)$",
     )
@@ -190,8 +191,8 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
         emitters=tuple(emitters),
         sequences_per_class=tuple(counts),
         length_range=(
-            _get(cfg, "sim.length_min", _one(int), 7),
-            _get(cfg, "sim.length_max", _one(int), 512),
+            _get(cfg, "sim.length_min", _one(int), MIN_SEQ_LEN),
+            _get(cfg, "sim.length_max", _one(int), MAX_SEQ_LEN),
         ),
         noise_fraction=_get(cfg, "sim.noise", _one(float), 0.0),
         seed=seed if seed is not None else _get(cfg, "sim.seed", _one(int), 0),

@@ -289,6 +289,8 @@ def forward(
     exists. At dropout 0 the logits are bit-identical either way.
     """
     cfg = model.config
+    if training and cfg.dropout > 0.0 and rng is None:
+        raise ValueError(f"forward(training=True) at dropout {cfg.dropout} needs an rng")
     p = model.params
     cache: dict = {}
     if cfg.architecture in _RECURRENT:

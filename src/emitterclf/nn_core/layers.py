@@ -26,11 +26,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max subtraction); rows sum to 1."""
-    z = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis (max subtraction); rows sum to 1."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def init_fc(in_size: int, out_size: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -144,7 +144,6 @@ class NormalizedSequence:
     channels: np.ndarray
     label: int
     valid_length: int
-    scheme: str
 
 
 def normalize_scheme(
@@ -166,9 +165,7 @@ def normalize_scheme(
         channels = discretize_normalize(seq, stats, bins)
     else:
         raise ValueError(f"unknown normalization scheme {scheme!r}")
-    return NormalizedSequence(
-        channels=channels, label=seq.label, valid_length=seq.length, scheme=scheme
-    )
+    return NormalizedSequence(channels=channels, label=seq.label, valid_length=seq.length)
 
 
 @dataclass(frozen=True)

@@ -119,30 +119,29 @@ def train(
     cfg: TrainConfig,
     *,
     stats: DomainStats | None = None,
-    class_weights: np.ndarray | None = None,
-    start_epoch: int = 0,
     optimizer: Adam | None = None,
     prior_losses: list[float] | None = None,
     on_epoch=None,
 ) -> TrainResult:
     """Train with weighted cross-entropy, BPTT, clipping, and Adam.
 
-    Domain stats and class weights are fitted on `train_ds` only (pass them
-    in to resume). Shuffling and dropout streams derive from
+    Domain stats (unless passed in) and the median-frequency class weights
+    are fitted on `train_ds` only. To resume, pass the checkpoint's stats,
+    optimizer and epoch losses: training continues at epoch
+    len(prior_losses). Shuffling and dropout streams derive from
     (cfg.seed, epoch, batch), so a resumed run replays the identical
     trajectory of an uninterrupted one.
     """
     mcfg = model.config
     if stats is None and mcfg.scheme != "none":
         stats = fit_domain_stats(train_ds)
-    if class_weights is None:
-        class_weights = median_frequency_weights(train_ds.class_counts)
+    class_weights = median_frequency_weights(train_ds.class_counts)
     normalized = _normalize_all(train_ds, stats, mcfg.scheme, mcfg.bins)
     if optimizer is None:
         optimizer = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     losses = list(prior_losses or [])
     n = len(normalized)
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(len(losses), cfg.epochs):
         if cfg.shuffle:
             order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
         else:

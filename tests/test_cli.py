@@ -171,6 +171,19 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--seed", "--set"])
+def test_eval_refuses_flags_it_would_ignore(tmp_path, capsys, flag):
+    """eval takes its model and stats from the checkpoint and reads no config."""
+    value = {"--config": MICRO, "--seed": "9", "--set": "train.seed=9"}[flag]
+    data, model, stats = _micro_inputs(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, stats)
+    capsys.readouterr()
+    assert main(_checkpoint_args("eval", ckpt, data, tmp_path / "out") + [flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ablate_outputs_and_determinism(tmp_path):
     data = tmp_path / "d.ds"
     main(["gen", "--config", MICRO, "--out", str(data)])
@@ -291,6 +304,24 @@ def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert main(["gen", "--config", MICRO, "--out", str(out), "--set", f"{key}={value}"]) == 1
     assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        (["--config", MICRO, "--noise", "0.3"], "--noise"),
+        (["--from-dataset", "{src}", "--config", MICRO], "--config"),
+        (["--from-dataset", "{src}", "--set", "sim.noise=0.4"], "--set"),
+        (["--config", MICRO, "--set", "sim.class.01.pri=constant,999"], "sim.class.01.pri"),
+    ],
+    ids=["noise-without-from-dataset", "from-dataset-config", "from-dataset-set", "class-index-01"],
+)
+def test_gen_refuses_what_it_would_ignore(tmp_path, capsys, micro_data, extra, named):
+    out = tmp_path / "d.ds"
+    capsys.readouterr()
+    assert main(["gen", "--out", str(out)] + [a.format(src=micro_data) for a in extra]) == 1
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -280,6 +280,18 @@ def test_end_to_end_gradients_with_dropout(arch):
     _model_gradcheck(cfg, ds, seed=14)
 
 
+@pytest.mark.parametrize("arch", list(_GRADCHECK_CONFIGS))
+def test_training_forward_with_dropout_needs_rng(small_dataset, arch):
+    """Dropout > 0 without an rng is refused up front; dropout 0 needs none."""
+    cfg = _cfg(architecture=arch, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
+    model = build(cfg, seed=12)
+    batch = _batch(small_dataset, cfg, fit_domain_stats(small_dataset))
+    with pytest.raises(ValueError, match=r"dropout 0\.3 needs an rng"):
+        forward(model, batch, training=True)
+    _, cache = forward(_without_dropout(model), batch, training=True)
+    assert cache is not None
+
+
 def _without_dropout(model):
     """The same params under a dropout-0 config: its training forward is deterministic."""
     return SequenceClassifier(dataclasses.replace(model.config, dropout=0.0), model.params)

@@ -134,14 +134,9 @@ def test_train_reaches_perfect_macro_on_separable_data(separable_ds):
 
 
 def test_initial_loss_near_log_c(separable_ds):
-    """With uniform weights an untrained model scores about ln C."""
+    """With uniform weights (balanced classes) an untrained model scores about ln C."""
     model = build(_mcfg(), seed=1)
-    result = train(
-        model,
-        separable_ds,
-        _tcfg(epochs=1, learning_rate=1e-5),
-        class_weights=np.ones(2),
-    )
+    result = train(model, separable_ds, _tcfg(epochs=1, learning_rate=1e-5))
     assert abs(result.epoch_losses[0] - math.log(2)) / math.log(2) < 0.1
 
 
@@ -178,8 +173,6 @@ def test_resume_replays_identical_trajectory(separable_ds):
         separable_ds,
         cfg_full,
         stats=head.stats,
-        class_weights=head.class_weights,
-        start_epoch=3,
         optimizer=head.optimizer,
         prior_losses=head.epoch_losses,
     )
