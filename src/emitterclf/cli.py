@@ -62,6 +62,14 @@ def _add_common(p: argparse.ArgumentParser, *, config_required: bool = True) -> 
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --jobs: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _load_cfg(args) -> dict:
     cfg = cfgmod.load_config(args.config) if args.config else {}
     return cfgmod.apply_overrides(cfg, args.set)
@@ -254,7 +262,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="training dataset file")
     p.add_argument("--test", required=True, help="test dataset file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="max parallel grid workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="max parallel grid workers")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("baselines", help="run the baseline comparison table")
@@ -262,7 +270,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="max parallel grid workers")
     p.set_defaults(func=cmd_baselines)
 
     p = sub.add_parser("noise-sweep", help="noise-robustness curves for trained models")

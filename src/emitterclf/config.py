@@ -232,6 +232,11 @@ def eval_params(cfg: dict[str, list[str]]) -> tuple[tuple[float, ...], int]:
     fractions = _get(
         cfg, "eval.fractions", lambda ts: [float(t) for t in ts], list(DEFAULT_NOISE_FRACTIONS)
     )
+    for k, f in enumerate(fractions):
+        if not 0.0 <= f <= 0.5:  # also refuses NaN
+            raise ConfigError(f"eval.fractions: each fraction must lie in [0, 0.5], got {f!r}")
+        if f in fractions[:k]:
+            raise ConfigError(f"eval.fractions: fraction {f!r} is listed twice")
     replicates = _get(cfg, "eval.replicates", _one(int), 3)
     if replicates < 1:
         raise ConfigError("eval.replicates must be >= 1")

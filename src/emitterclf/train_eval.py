@@ -8,7 +8,9 @@ the same as common ones.
 The ablation (normalization x architecture) and the baseline table are two
 cell lists over one runner, `_run_grid`: a cell is a label, its row fields
 and a ModelConfig, and each (cell, seed) pair is one independent task that
-builds, trains and evaluates a model. With jobs > 1 the tasks run in
+builds, trains and evaluates a model. Tasks are dispatched longest-first
+by a static cost key (recurrent stacks x layers; ties keep grid order), and
+their results come back in grid order. With jobs > 1 the tasks run in
 spawned worker processes, and results are identical regardless of worker
 count. The noise-robustness sweep evaluates fixed, already trained models.
 """
@@ -307,12 +309,33 @@ def _run_grid_task(task: tuple) -> tuple[dict, tuple | None]:
     return row, ((result.model, result.stats) if return_model else None)
 
 
+def _cell_cost(cfg: ModelConfig) -> int:
+    """Static cost key of a grid cell: recurrent stacks x layers, 0 for the stats MLP."""
+    if cfg.architecture == "stats_mlp":
+        return 0
+    stacks = cfg.channels if cfg.architecture == "attribute_specific_lstm" else 1
+    return stacks * cfg.layers
+
+
 def _execute_tasks(tasks: list[tuple], jobs: int) -> list[tuple]:
+    """Run the tasks longest-first by `_cell_cost`; return their results in task order.
+
+    The sort is stable, so tasks of equal cost keep their grid order. With
+    jobs > 1 the pool hands tasks out in that order, so the costliest cells
+    start first and no long cell is left to run alone at the end.
+    """
+    order = sorted(range(len(tasks)), key=lambda i: -_cell_cost(tasks[i][1]))
+    ordered = [tasks[i] for i in order]
     if jobs <= 1:
-        return [_run_grid_task(t) for t in tasks]
-    ctx = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
-        return list(ex.map(_run_grid_task, tasks))
+        done = list(map(_run_grid_task, ordered))
+    else:
+        ctx = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
+            done = list(ex.map(_run_grid_task, ordered))
+    results = [None] * len(tasks)
+    for i, result in zip(order, done):
+        results[i] = result
+    return results
 
 
 def summarize_rows(rows: list[dict], keys: tuple[str, ...]) -> list[dict]:
@@ -391,8 +414,9 @@ def noise_sweep(
 ) -> list[dict]:
     """Evaluate each model on noise-perturbed copies of the test set.
 
-    Models stay fixed (trained clean); one fixed noise seed per fraction.
-    Fraction 0 reproduces the clean evaluation exactly.
+    Models stay fixed (trained clean). The noise seed of a fraction derives
+    from its position k in `fractions` (`derive_int(seed, "sweep", k)`), not
+    from its value. Fraction 0 reproduces the clean evaluation exactly.
     """
     rows = []
     for k, fraction in enumerate(fractions):

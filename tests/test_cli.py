@@ -252,6 +252,34 @@ def test_grid_names_the_bad_dataset(tmp_path, capsys):
     assert f"error: {bad}: record 1: malformed seq line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,jobs", [("ablate", "0"), ("baselines", "-3")])
+def test_grid_refuses_jobs_below_one(tmp_path, capsys, micro_data, command, jobs):
+    out = tmp_path / "out"
+    args = [command, "--config", MICRO, "--train", str(micro_data), "--test", str(micro_data)]
+    capsys.readouterr()
+    assert main(args + ["--out-dir", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert "--jobs" in err and jobs in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fractions,named",
+    [("0,0.7", "0.7"), ("-0.1", "-0.1"), ("0,nan", "nan"), ("inf", "inf"), ("0,0.1,0.1", "0.1")],
+    ids=["above-0.5", "negative", "nan", "inf", "duplicate"],
+)
+def test_noise_sweep_refuses_bad_fractions(tmp_path, capsys, fractions, named):
+    data, model, stats = _micro_inputs(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, stats)
+    capsys.readouterr()
+    args = _checkpoint_args("noise-sweep", ckpt, data, tmp_path / "out")
+    assert main(args + ["--set", f"eval.fractions={fractions}"]) == 1
+    err = capsys.readouterr().err
+    assert "eval.fractions" in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_noise_sweep_outputs(tmp_path, sep_cfg):
     data = tmp_path / "d.ds"
     ckpt = tmp_path / "m.ckpt"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emitterclf import train_eval
 from emitterclf.data_model import Dataset, PulseSequence, dataset_fingerprint
 from emitterclf.model import ModelConfig, build
 from emitterclf.normalize import fit_domain_stats
@@ -249,6 +250,66 @@ def test_run_baselines_rows(micro_split):
     assert by_method["gru_discretized_pripw"] == "discretize"
     assert by_method["stats_mlp_standardize"] == "standardize"
     assert by_method["proposed"] == "minmax+perseq"
+
+
+def test_run_baselines_models_independent_of_jobs(micro_split):
+    """The pool's longest-first dispatch changes no row and no trained parameter."""
+    train_ds, test_ds = micro_split
+    args = (train_ds, test_ds, _mcfg(hidden=4, dropout=0.3), _tcfg(epochs=2))
+    serial = run_baselines(*args, seeds=(0, 1), jobs=1, return_models=True)
+    pooled = run_baselines(*args, seeds=(0, 1), jobs=2, return_models=True)
+    assert pooled.rows == serial.rows
+    assert pooled.summary == serial.summary
+    assert list(pooled.models) == list(serial.models)
+    for label, (model, _) in serial.models.items():
+        params = pooled.models[label][0].params
+        assert list(params) == list(model.params)
+        for name, value in model.params.items():
+            assert params[name].tobytes() == value.tobytes(), (label, name)
+
+
+def _dispatch_order(monkeypatch, run, micro_split):
+    """(row, seed) of each grid task in the order `_execute_tasks` starts them, and the rows."""
+    dispatched = []
+
+    def fake_task(task):
+        row, _, train_cfg = task[:3]
+        dispatched.append((tuple(row.values()), train_cfg.seed))
+        return {**row, "seed": train_cfg.seed, "macro_accuracy": 0.0}, None
+
+    monkeypatch.setattr(train_eval, "_run_grid_task", fake_task)
+    train_ds, test_ds = micro_split
+    result = run(train_ds, test_ds, _mcfg(), _tcfg(), seeds=(0, 1), jobs=1)
+    return dispatched, [(tuple(r.values())[:-2], r["seed"]) for r in result.rows]
+
+
+def test_baselines_dispatch_longest_first(monkeypatch, micro_split):
+    """The S=6 cell starts first and the stats MLPs last; ties and rows keep grid order."""
+    dispatched, rows = _dispatch_order(monkeypatch, run_baselines, micro_split)
+    order = [
+        ("proposed", "minmax+perseq"),  # 6 stacks x 2 layers
+        ("gru_discretized_pripw", "discretize"),  # 1 x 2
+        ("gru_discretized_rf", "discretize"),
+        ("stats_mlp_minmax", "minmax"),  # 0
+        ("stats_mlp_standardize", "standardize"),
+    ]
+    assert dispatched == [(cell, seed) for cell in order for seed in (0, 1)]
+    grid = order[1:] + order[:1]  # BASELINES lists the proposed model last
+    assert rows == [(cell, seed) for cell in grid for seed in (0, 1)]
+
+
+def test_ablation_dispatch_longest_first(monkeypatch, micro_split):
+    dispatched, rows = _dispatch_order(monkeypatch, run_ablation, micro_split)
+    order = [
+        ("minmax+perseq", "attribute_specific_lstm"),  # 6 stacks x 2 layers
+        ("none", "attribute_specific_lstm"),  # 3 x 2
+        ("minmax", "attribute_specific_lstm"),
+        ("none", "joint_lstm"),  # 1 x 2
+        ("minmax", "joint_lstm"),
+        ("minmax+perseq", "joint_lstm"),
+    ]
+    assert dispatched == [(cell, seed) for cell in order for seed in (0, 1)]
+    assert rows == [(cell, seed) for cell in ABLATION_CELLS for seed in (0, 1)]
 
 
 def test_summarize_rows_median():
