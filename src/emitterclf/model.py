@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data_model import NUM_ATTRIBUTES, PulseSequence
+from .data_model import NUM_ATTRIBUTES
 from .nn_core import (
     Adam,
     dropout,
@@ -54,7 +54,6 @@ from .nn_core import (
     lstm_forward,
     relu_backward,
     relu_forward,
-    softmax,
 )
 from .nn_core.recurrent import active_rows, gru_steps, lstm_steps
 from .normalize import (
@@ -62,8 +61,6 @@ from .normalize import (
     SCHEMES,
     DomainStats,
     NormalizedBatch,
-    build_batch,
-    normalize_scheme,
     scheme_channel_count,
 )
 from .seeding import derive_rng
@@ -75,7 +72,6 @@ __all__ = [
     "build",
     "forward",
     "backward",
-    "predict",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointData",
@@ -277,6 +273,7 @@ def forward(
     batch: NormalizedBatch,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    spent: dict | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Compute pre-softmax logits for a padded batch.
 
@@ -287,12 +284,22 @@ def forward(
     together, one layer's state at t being the next layer's input at t, so
     each holds a two-slot ring of (S, B, H) states and no (T, S, B, H) array
     exists. At dropout 0 the logits are bit-identical either way.
+
+    spent, the cache of this model's previous training forward once
+    `backward` is done with it, is handed over: forward empties it and
+    writes the recurrent stores, the states and the inter-layer dropout
+    masks and outputs over its memory, which grows only when this batch
+    needs more rows or a longer T. The results are the same bits.
     """
     cfg = model.config
     if training and cfg.dropout > 0.0 and rng is None:
         raise ValueError(f"forward(training=True) at dropout {cfg.dropout} needs an rng")
     p = model.params
     cache: dict = {}
+    stores = None
+    if spent:  # keep its stores; free the rest of it before this batch allocates
+        stores = spent.pop("stores", None)
+        spent.clear()
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
         channels, lengths, order, inv = _sort_by_length(batch)
@@ -300,14 +307,17 @@ def forward(
         layers = [[p[f"{cell}{layer}.{s}"] for s in suffixes] for layer in range(cfg.layers)]
         if training:
             kernel = globals()[f"{cell}_forward"]
+            if stores is None:  # one list per kernel call and per inter-layer dropout, in call order
+                stores = [[] for _ in range(2 * cfg.layers - 1)]
             layer_caches, drop_masks = [], []
             for layer, params in enumerate(layers):
-                h, lc = kernel(*params, h, lengths)
+                h, lc = kernel(*params, h, lengths, stores=stores[2 * layer])
                 layer_caches.append(lc)
                 if layer < cfg.layers - 1:
-                    h, dm = dropout(h, cfg.dropout, rng)
+                    h, dm = dropout(h, cfg.dropout, rng, stores=stores[2 * layer + 1])
                     drop_masks.append(dm)
             cache.update(
+                stores=stores,
                 layer_caches=layer_caches,
                 drop_masks=drop_masks,
                 h_shape=h.shape,
@@ -348,8 +358,11 @@ def forward(
 
 def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss w.r.t. every model parameter."""
-    if cache is None:
-        raise ValueError("forward(training=False) kept no cache; backward needs training=True")
+    if not cache:
+        raise ValueError(
+            "forward(training=False) kept no cache, and a cache handed on as `spent` is "
+            "emptied; backward needs the cache of the latest training forward"
+        )
     cfg = model.config
     p = model.params
     grads: dict[str, np.ndarray] = {}
@@ -370,7 +383,9 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
             grads.update(zip(names, dparams))
             if layer > 0:
                 dm = cache["drop_masks"][layer - 1]
-                dh_seq = dx * dm if dm is not None else dx
+                if dm is not None:
+                    dx *= dm
+                dh_seq = dx
         _recurrent_input_backward(cfg, p, cache["ids"], dx, grads)
     elif cfg.architecture == "stats_mlp":
         dh = dfeats
@@ -382,19 +397,6 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
     else:  # pragma: no cover
         raise ValueError(cfg.architecture)
     return grads
-
-
-def predict(
-    model: SequenceClassifier, seq: PulseSequence, stats: DomainStats | None
-) -> tuple[int, np.ndarray]:
-    """Normalize with the model's stored scheme, run inference, softmax.
-
-    Argmax ties break toward the lowest class index.
-    """
-    ns = normalize_scheme(seq, stats, model.config.scheme, model.config.bins)
-    logits, _ = forward(model, build_batch([ns]))
-    probs = softmax(logits[0])
-    return int(np.argmax(probs)), probs
 
 
 @dataclass

@@ -13,6 +13,7 @@ __all__ = [
     "fc_forward",
     "fc_backward",
     "dropout",
+    "reuse",
     "relu_forward",
     "relu_backward",
     "init_embedding",
@@ -49,24 +50,48 @@ def fc_backward(
     return x.T @ dy, dy.sum(axis=0), dy @ W.T
 
 
-def dropout(x: np.ndarray, p: float, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
+def reuse(stores: list, i: int, shape) -> np.ndarray:
+    """An uninitialized float64 array of `shape` in stores[i], a buffer kept across calls.
+
+    stores holds a caller's buffers, one slot per array it asks for, filled
+    in slot order on its first call. The buffer in slot i is written over when
+    it is large enough. Otherwise it is freed before a buffer of exactly the
+    size needed takes its slot, so a store grows only when a call needs more
+    than any earlier one and never coexists with the store it replaces (once
+    the caller holds no view of it).
+    """
+    size = math.prod(shape)
+    if i == len(stores):
+        stores.append(None)
+    if stores[i] is None or stores[i].size < size:
+        stores[i] = None  # free the old buffer before allocating its successor
+        stores[i] = np.empty(size)
+    return stores[i][:size].reshape(shape)
+
+
+def dropout(
+    x: np.ndarray, p: float, rng=None, stores: list | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted (training-time) dropout; inference does not call it.
 
     Zero each element with probability p and scale survivors by 1/(1-p);
     p == 0 is the identity. Returns (output, keep_mask); the mask is None
     when no dropout was applied and otherwise multiplies upstream gradients
-    in the backward pass.
+    in the backward pass. Given `stores` (see `reuse`), the mask and the
+    output are written over an earlier call's; the draw is the same.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if p == 0.0:
         return x, None
+    stores = [] if stores is None else stores
     # Draw over every element, padding included, so the rng stream depends
     # only on x.shape; the draw then becomes the mask in place.
-    keep = rng.random(x.shape)
+    keep = reuse(stores, 0, x.shape)
+    rng.random(out=keep)
     np.greater_equal(keep, p, out=keep)
     keep *= 1.0 / (1.0 - p)
-    return x * keep, keep
+    return np.multiply(x, keep, out=reuse(stores, 1, x.shape)), keep
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -40,18 +40,25 @@ r * h. Each of these is one flat slab per call, and step t's block starts
 at row offset sum(active[:t]). The cell state is written straight into its
 slab and read back from there as the previous state. Only h_seq, the
 output, has all B rows, and of it only the carried rows h_seq[t, :, n:] are
-copied each step.
+copied each step. Each store, h_seq included, is a view of a flat buffer
+that the caller may keep from call to call in a store list
+(layers.reuse): training hands each batch the spent cache's buffers,
+reshaped to the batch, and a buffer grows only when a batch needs more
+rows or a longer T.
 
 Steps. One generator per cell (lstm_steps, gru_steps) runs the loop: it
 takes each step's (S, B, Din) input and yields the step's (S, B, H) state,
 carried rows included. Training (lstm_forward, gru_forward) passes offsets
-and keeps every step's stores and every state (h_seq). Inference
-(model.forward with training=False) passes none and chains one generator
-per layer, so layer l's state at t is layer l+1's input at t: the stores
-shrink to one step of B rows, the states to a two-slot ring, and the LSTM
-cell state alternates between two blocks, as step t reads step t-1's c.
-Every product and elementwise pass keeps its shape and order, so the
-states are bit-identical either way.
+and keeps every step's stores and every state (h_seq), written over the
+previous batch's when model.forward is handed that batch's spent cache;
+every store is written before it is read, so the results do not depend on
+what the buffers held. Inference (model.forward with training=False)
+passes no offsets and chains one generator per layer, so layer l's state
+at t is layer l+1's input at t: the stores shrink to one step of B rows,
+the states to a two-slot ring, and the LSTM cell state alternates between
+two blocks, as step t reads step t-1's c. Every product and elementwise
+pass keeps its shape and order, so the states are bit-identical either
+way.
 
 Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
 `layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once
@@ -86,6 +93,8 @@ import itertools
 import math
 
 import numpy as np
+
+from .layers import reuse
 
 __all__ = [
     "active_rows",
@@ -156,10 +165,10 @@ def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U, b
 
 
-def _run_steps(step_fn, params, x, lengths):
+def _run_steps(step_fn, params, x, lengths, stores):
     """Drive a step generator over all of x (T, S, B, Din); see lstm_forward."""
     active, offsets = active_rows(lengths, x.shape[0], x.shape[2])
-    steps = step_fn(*params, x, active, offsets)
+    steps = step_fn(*params, x, active, offsets, stores)
     try:
         while True:
             next(steps)
@@ -167,14 +176,16 @@ def _run_steps(step_fn, params, x, lengths):
         return done.value[-1], (x, *done.value, active, offsets)
 
 
-def lstm_steps(W, U, b, xs, active, offsets):
+def lstm_steps(W, U, b, xs, active, offsets, stores=None):
     """Step the LSTM from a zero state: yield each step's (S, B, H) state.
 
     xs yields each step's (S, B, Din) input; active[t] counts its active
     rows. With offsets (see active_rows) every step's backward stores are
     kept, and step t's state, carried rows included, goes to h_out[t] (h_seq).
     offsets=None keeps one step of scratch and a two-slot ring h_out[t % 2].
-    Returns (acts, c_store, tc_store, h_out).
+    Returns (acts, c_store, tc_store, h_out). Given `stores`, a list kept
+    from call to call (see layers.reuse), these are written over an earlier
+    call's.
     """
     S, H = U.shape[:2]
     B = active[0]  # every row is active at step 0
@@ -182,10 +193,11 @@ def lstm_steps(W, U, b, xs, active, offsets):
     blk = S * H
     keep = offsets is not None
     rows = offsets[-1] if keep else B
-    acts = np.empty(4 * blk * rows)  # (i, f, o, g) per step
-    c_store = np.empty(blk * (rows if keep else 2 * B))
-    tc_store = np.empty(blk * rows)
-    h_out = np.empty((len(active) if keep else 2, S, B, H))  # after the stores: lower training RSS
+    stores = [] if stores is None else stores
+    acts = reuse(stores, 0, (4 * blk * rows,))  # (i, f, o, g) per step
+    c_store = reuse(stores, 1, (blk * (rows if keep else 2 * B),))
+    tc_store = reuse(stores, 2, (blk * rows,))
+    h_out = reuse(stores, 3, (len(active) if keep else 2, S, B, H))  # after the stores: lower training RSS
     h_prev = c_prev = np.zeros((S, B, H))
     for t, x_t in enumerate(xs):
         n = active[t]
@@ -214,15 +226,18 @@ def lstm_steps(W, U, b, xs, active, offsets):
     return acts, c_store, tc_store, h_out
 
 
-def lstm_forward(W, U, b, x, lengths=None):
+def lstm_forward(W, U, b, x, lengths=None, stores=None):
     """Run the LSTM over a right-padded batch from a zero initial state.
 
     x: (T, S, B, Din); lengths: (B,) valid lengths sorted non-increasing, or
     None for a fully rectangular batch. Returns (h_seq, cache) where h_seq
     is (T, S, B, H) with the state carried unchanged past each sequence's
-    valid length, and the cache feeds lstm_backward.
+    valid length, and the cache feeds lstm_backward. Given `stores`, a list
+    kept from call to call (see layers.reuse), h_seq and the cache's stores
+    are written over those of the previous call, which must be dead; the
+    results are the same bits.
     """
-    return _run_steps(lstm_steps, (W, U, b), x, lengths)
+    return _run_steps(lstm_steps, (W, U, b), x, lengths, stores)
 
 
 def lstm_backward(W, U, b, cache, dh_seq):
@@ -295,7 +310,7 @@ def init_gru_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U_ru, U_n, b
 
 
-def gru_steps(W, U_ru, U_n, b, xs, active, offsets):
+def gru_steps(W, U_ru, U_n, b, xs, active, offsets, stores=None):
     """Step the GRU; mirrors lstm_steps and returns (acts, rh_store, h_out)."""
     S, H = U_n.shape[:2]
     B = active[0]
@@ -303,9 +318,10 @@ def gru_steps(W, U_ru, U_n, b, xs, active, offsets):
     blk = S * H
     keep = offsets is not None
     rows = offsets[-1] if keep else B
-    acts = np.empty(3 * blk * rows)  # (r, u, n) per step
-    rh_store = np.empty(blk * rows)
-    h_out = np.empty((len(active) if keep else 2, S, B, H))
+    stores = [] if stores is None else stores
+    acts = reuse(stores, 0, (3 * blk * rows,))  # (r, u, n) per step
+    rh_store = reuse(stores, 1, (blk * rows,))
+    h_out = reuse(stores, 2, (len(active) if keep else 2, S, B, H))
     h_prev = np.zeros((S, B, H))
     for t, x_t in enumerate(xs):
         n = active[t]
@@ -336,9 +352,9 @@ def gru_steps(W, U_ru, U_n, b, xs, active, offsets):
     return acts, rh_store, h_out
 
 
-def gru_forward(W, U_ru, U_n, b, x, lengths=None):
+def gru_forward(W, U_ru, U_n, b, x, lengths=None, stores=None):
     """Run the GRU over a right-padded batch; mirrors lstm_forward."""
-    return _run_steps(gru_steps, (W, U_ru, U_n, b), x, lengths)
+    return _run_steps(gru_steps, (W, U_ru, U_n, b), x, lengths, stores)
 
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):

@@ -55,7 +55,6 @@ __all__ = [
     "evaluate",
     "ABLATION_CELLS",
     "BASELINES",
-    "BASELINE_METHODS",
     "DEFAULT_NOISE_FRACTIONS",
     "GridResult",
     "run_ablation",
@@ -133,6 +132,11 @@ def train(
     len(prior_losses). Shuffling and dropout streams derive from
     (cfg.seed, epoch, batch), so a resumed run replays the identical
     trajectory of an uninterrupted one.
+
+    One batch of backward state is live at a time: each batch's training
+    forward is handed the previous batch's spent cache and writes its BPTT
+    stores over it, so that memory is neither held twice nor freed and
+    faulted in again from batch to batch.
     """
     mcfg = model.config
     if stats is None and mcfg.scheme != "none":
@@ -143,6 +147,7 @@ def train(
         optimizer = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     losses = list(prior_losses or [])
     n = len(normalized)
+    cache = None
     for epoch in range(len(losses), cfg.epochs):
         if cfg.shuffle:
             order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
@@ -153,7 +158,7 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             batch = build_batch([normalized[i] for i in idx])
             drop_rng = derive_rng(cfg.seed, "dropout", epoch, bi)
-            logits, cache = forward(model, batch, training=True, rng=drop_rng)
+            logits, cache = forward(model, batch, training=True, rng=drop_rng, spent=cache)
             probs = softmax(logits)
             loss, dlogits = weighted_cross_entropy(probs, batch.labels, class_weights)
             if not math.isfinite(loss):
@@ -167,6 +172,7 @@ def train(
             clip_gradients(grads, cfg.clip_norm)
             optimizer.step(model.params, grads)
             batch_losses.append(loss)
+            del grads, logits, probs, dlogits  # only the spent cache outlives the batch
         epoch_loss = float(np.mean(batch_losses))
         losses.append(epoch_loss)
         if on_epoch is not None:
@@ -283,7 +289,6 @@ BASELINES = {
     "stats_mlp_standardize": dict(architecture="stats_mlp", scheme="standardize"),
     "proposed": dict(architecture="attribute_specific_lstm", scheme="minmax+perseq"),
 }
-BASELINE_METHODS = tuple(BASELINES)
 
 DEFAULT_NOISE_FRACTIONS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10)
 

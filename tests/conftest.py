@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from emitterclf.data_model import Dataset, PulseSequence
+from emitterclf.model import forward
+from emitterclf.nn_core import softmax
+from emitterclf.normalize import build_batch, normalize_scheme
 
 # Acceptance criteria report one PASS/FAIL line each; collected here and
 # printed in the terminal summary so the verdicts are always visible.
@@ -38,6 +41,19 @@ def make_sequence(pri, pw, rf, label=0, length=None):
     for j, col in enumerate(cols):
         values[:, j] = np.resize(col, t)
     return PulseSequence(values, label, check=False)
+
+
+def predict(model, seq, stats):
+    """One sequence through inference on its own: (class, probabilities).
+
+    Normalizes with the model's stored scheme and takes the softmax of the
+    logits; argmax ties break toward the lowest class index. `evaluate`,
+    which batches, must agree with it.
+    """
+    ns = normalize_scheme(seq, stats, model.config.scheme, model.config.bins)
+    logits, _ = forward(model, build_batch([ns]))
+    probs = softmax(logits[0])
+    return int(np.argmax(probs)), probs
 
 
 @pytest.fixture

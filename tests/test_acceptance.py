@@ -45,7 +45,7 @@ from emitterclf.train_eval import (
     run_baselines,
 )
 
-from conftest import record_acceptance
+from conftest import predict, record_acceptance
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -302,8 +302,6 @@ def test_criterion_3_metric_oracle(small_dataset):
         seed=0,
     )
     report = evaluate(model, small_dataset, stats)
-    from emitterclf.model import predict
-
     preds = [predict(model, s, stats)[0] for s in small_dataset.sequences]
     truths = [s.label for s in small_dataset.sequences]
     macro_ref, _, conf_ref = classification_report(truths, preds, 3)

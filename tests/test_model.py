@@ -16,12 +16,13 @@ from emitterclf.model import (
     build,
     forward,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 from emitterclf.nn_core import Adam, fc_forward, softmax, weighted_cross_entropy
 from emitterclf.normalize import NormalizedBatch, build_batch, fit_domain_stats, normalize_scheme
 from emitterclf.seeding import derive_rng
+
+from conftest import predict
 
 
 def _cfg(**kw):
@@ -316,9 +317,14 @@ def test_backward_refuses_cacheless_forward(arch):
     ds = _tiny_dataset()
     cfg = _cfg(architecture=arch, **_GRADCHECK_CONFIGS[arch])
     model = build(cfg, seed=13)
-    logits, cache = forward(model, _batch(ds, cfg, fit_domain_stats(ds)))
+    batch = _batch(ds, cfg, fit_domain_stats(ds))
+    logits, cache = forward(model, batch)
     with pytest.raises(ValueError, match="kept no cache"):
         backward(model, cache, np.ones_like(logits))
+    _, spent = forward(model, batch, training=True)
+    forward(model, batch, training=True, spent=spent)
+    with pytest.raises(ValueError, match="handed on as `spent` is emptied"):
+        backward(model, spent, np.ones_like(logits))
 
 
 _RECURRENT_CONFIGS = {a: kw for a, kw in _GRADCHECK_CONFIGS.items() if a != "stats_mlp"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from emitterclf.nn_core import (
     softmax,
     weighted_cross_entropy,
 )
+from emitterclf.nn_core.layers import reuse
 from emitterclf.seeding import derive_rng
 
 EPS = 1e-5
@@ -233,6 +235,27 @@ def test_dropout_statistics():
 def test_dropout_rejects_bad_p():
     with pytest.raises(ValueError):
         dropout(np.ones(3), 1.0, derive_rng(0))
+
+
+def test_reuse_writes_over_a_buffer_until_a_call_needs_more():
+    """A request that fits takes its slot's buffer; a larger one frees that
+    buffer before allocating, so the old and the new never coexist."""
+    stores = []
+    tracemalloc.start()
+    try:
+        first = reuse(stores, 0, (1000, 1000))
+        other = reuse(stores, 1, (10,))
+        smaller = reuse(stores, 0, (999, 1000))
+        assert len(stores) == 2 and smaller.shape == (999, 1000)
+        assert np.shares_memory(smaller, first) and not np.shares_memory(other, first)
+        del first, smaller
+        tracemalloc.reset_peak()
+        grown = reuse(stores, 0, (1500, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grown.shape == (1500, 1000) and stores[0].size == grown.size
+    assert peak < 8 * 2_000_000  # the new 12 MB buffer alone, not it plus the old 8 MB
 
 
 def test_fc_pass_through_and_bias():

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emitterclf import train_eval
 from emitterclf.data_model import Dataset, PulseSequence, dataset_fingerprint
-from emitterclf.model import ModelConfig, build
+from emitterclf.model import ARCHITECTURES, ModelConfig, build
 from emitterclf.normalize import fit_domain_stats
 from emitterclf.pulse_sim import (
     ConstantPattern,
@@ -18,7 +22,7 @@ from emitterclf.pulse_sim import (
 from emitterclf.seeding import derive_rng
 from emitterclf.train_eval import (
     ABLATION_CELLS,
-    BASELINE_METHODS,
+    BASELINES,
     TrainConfig,
     TrainingDiverged,
     classification_report,
@@ -182,6 +186,131 @@ def test_resume_replays_identical_trajectory(separable_ds):
         assert np.array_equal(tail.model.params[name], full.model.params[name])
 
 
+_SCHEMES = {
+    "attribute_specific_lstm": "minmax+perseq",
+    "joint_lstm": "minmax",
+    "gru_discretized": "discretize",
+    "stats_mlp": "minmax",
+}
+
+
+def _pulse_dataset(lengths, seed):
+    """Two classes that alternate; PRI, PW and RF vary within each sequence."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for i, t in enumerate(lengths):
+        label = i % 2
+        base = np.array([100.0 * (1 + label), 5.0, 3000.0 * (1 + label)])
+        seqs.append(PulseSequence(base * (1.0 + 0.2 * rng.random((t, 3))), label, check=False))
+    return Dataset(seqs, 2)
+
+
+def _arrays(obj):
+    """Every ndarray reachable through a cache's dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+
+
+def _train_recording(model, ds, cfg, hand_off):
+    """train() with each batch's gradients recorded.
+
+    hand_off=True fills the spent cache with NaN, store buffers included,
+    before the next forward takes it over, so a stale read shows; False
+    gives every forward fresh stores.
+    """
+    grads = []
+    real_forward, real_backward = train_eval.forward, train_eval.backward
+
+    def forward(*args, spent=None, **kwargs):
+        if not hand_off:
+            spent = None
+        for a in _arrays(spent):
+            if a.dtype.kind == "f":
+                a.fill(np.nan)
+        return real_forward(*args, spent=spent, **kwargs)
+
+    def backward(*args):
+        g = real_backward(*args)
+        grads.append({name: d.copy() for name, d in g.items()})
+        return g
+
+    with mock.patch.object(train_eval, "forward", forward), mock.patch.object(
+        train_eval, "backward", backward
+    ):
+        result = train(model, ds, cfg)
+    return result, grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch=st.sampled_from(ARCHITECTURES),
+    dropout=st.sampled_from([0.0, 0.3]),
+    lengths=st.lists(st.integers(1, 12), min_size=2, max_size=9),
+    batch_size=st.integers(1, 4),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(  # later batches need a longer T and more rows; the last one is smaller
+    arch="attribute_specific_lstm", dropout=0.3, lengths=[2, 3, 5, 5, 9, 9, 12, 4, 4],
+    batch_size=2, shuffle=False, seed=0,
+)
+@example(
+    arch="gru_discretized", dropout=0.3, lengths=[1, 2, 6, 6, 6, 11, 3],
+    batch_size=2, shuffle=False, seed=1,
+)
+def test_handed_over_stores_keep_training_bytes(arch, dropout, lengths, batch_size, shuffle, seed):
+    """Training that writes each batch's BPTT stores over the spent cache's
+    gives the bytes of training with fresh stores: trained params, epoch
+    losses and every batch's gradients."""
+    cfg = ModelConfig(
+        architecture=arch, scheme=_SCHEMES[arch], num_classes=2, hidden=3, layers=2,
+        dropout=dropout, embed_dim=2, mlp_hidden=(4,),
+    )
+    ds = _pulse_dataset(lengths, seed)
+    tcfg = _tcfg(epochs=2, batch_size=batch_size, shuffle=shuffle, seed=seed)
+    fresh, fresh_grads = _train_recording(build(cfg, seed=seed), ds, tcfg, hand_off=False)
+    handed, handed_grads = _train_recording(build(cfg, seed=seed), ds, tcfg, hand_off=True)
+    assert np.array(handed.epoch_losses).tobytes() == np.array(fresh.epoch_losses).tobytes()
+    for name, p in fresh.model.params.items():
+        assert handed.model.params[name].tobytes() == p.tobytes(), name
+    assert len(handed_grads) == len(fresh_grads)
+    for got, want in zip(handed_grads, fresh_grads):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("arch", ["attribute_specific_lstm", "joint_lstm", "gru_discretized"])
+def test_training_holds_one_batch_of_state(arch):
+    """Over 4 batches of one shape, train() peaks within 1.1x of its peak over
+    1 batch: no batch's cache or gradients outlive it, except the cache the
+    next forward writes over. (When a whole cache outlived its batch, the
+    ratio was 1.3-1.7.)"""
+    cfg = ModelConfig(
+        architecture=arch, scheme=_SCHEMES[arch], num_classes=2, hidden=16, layers=2,
+        dropout=0.3,
+    )
+    ds = _pulse_dataset([96] * 8, seed=0)
+
+    def peak(epochs):  # one batch per epoch
+        model = build(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train(model, ds, _tcfg(epochs=epochs, batch_size=8))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations that later calls reuse
+    assert peak(4) < 1.1 * peak(1)
+
+
 def test_evaluate_report_consistency(separable_ds):
     result = train(build(_mcfg(), seed=7), separable_ds, _tcfg())
     report = evaluate(result.model, separable_ds, result.stats)
@@ -245,7 +374,7 @@ def test_run_baselines_rows(micro_split):
     result = run_baselines(
         train_ds, test_ds, _mcfg(hidden=4), _tcfg(epochs=2), seeds=(0,), jobs=1
     )
-    assert [r["method"] for r in result.summary] == list(BASELINE_METHODS)
+    assert [r["method"] for r in result.summary] == list(BASELINES)
     by_method = {r["method"]: r["scheme"] for r in result.summary}
     assert by_method["gru_discretized_pripw"] == "discretize"
     assert by_method["stats_mlp_standardize"] == "standardize"
