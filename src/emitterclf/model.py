@@ -17,7 +17,9 @@ sorted by valid length, an input adapter turns the (B, T, K) channels into
 the layer-0 kernel input (T, S, B, Din), the L layers run (with training,
 one after another with dropout between them; in inference, together per
 timestep), and the readout takes the top layer's hidden states back to the
-original row order. The adapters are: one single-channel stream per stack
+original row order. Inference splits the S stacks of the attribute-specific
+LSTM into one block per usable CPU and steps the blocks in threads; see
+`forward`. The adapters are: one single-channel stream per stack
 (attribute-specific LSTM), the full channel vector as one stream (joint
 LSTM), and embedding lookup of the discretized attributes, whose gradient
 is layer 0's input gradient (GRU). `_RECURRENT` names each architecture's
@@ -32,6 +34,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -235,24 +240,73 @@ def _sort_by_length(batch: NormalizedBatch):
     return batch.channels[order], batch.lengths[order], order, inv
 
 
-def _readout(cfg, states, lengths):
-    """Top-layer states, one (S, B, H) block per step -> (B, S*H) features.
+def _reduce_states(cfg, states, lengths):
+    """Top-layer states, one (S, B, H) block per step -> their (S, B, H) readout.
 
     With the carried state, the final step's state already equals each
     sequence's state at its last valid step, so `last` keeps only that.
     `mean` keeps a running masked sum that starts from +0.0, as numpy's
     (h_seq * mask).sum(axis=0) does: a sum of -0.0 terms is +0.0 in both.
+    Every operation is elementwise, so a block of groups reduces to the
+    same bits as those groups of the whole S.
     """
     if cfg.readout == "last":
         for feats in states:
             pass
-    else:
-        feats = 0.0  # the first += makes a new (S, B, H) array, 0.0 + term
-        for t, h in enumerate(states):
-            feats += h * (t < lengths)[None, :, None].astype(np.float64)
-        feats = feats / lengths[None, :, None]
+        return feats
+    feats = 0.0  # the first += makes a new (S, B, H) array, 0.0 + term
+    for t, h in enumerate(states):
+        feats += h * (t < lengths)[None, :, None].astype(np.float64)
+    return feats / lengths[None, :, None]
+
+
+def _flatten(feats):
+    """(S, B, H) readout -> (B, S*H) features, stack s in columns [s*H, (s+1)*H)."""
     s, b, h = feats.shape
     return np.ascontiguousarray(feats.transpose(1, 0, 2)).reshape(b, s * h)
+
+
+def _split_width(groups: int) -> int:
+    """How many blocks inference splits `groups` independent stacks into.
+
+    One block per CPU this process may run on, at most one per group. A
+    process that a pool started runs width 1: its siblings fill the cores.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(groups, cpus)
+
+
+def _lockstep(cfg, steps, layers, x, lengths):
+    """Inference over x (T, S, B, Din) in _split_width(S) blocks of groups -> (S, B, H) readout.
+
+    Each block [lo, hi) chains one step generator per layer over the
+    parameter slices [lo:hi], so layer l's state at t is layer l+1's input
+    at t, and reduces its top-layer states. The calling thread runs the
+    first block and worker threads the others; they share only read-only
+    inputs, and the readout has the bits of width 1 (see `forward`).
+    """
+    T, S, B, _ = x.shape
+    active, _ = active_rows(lengths, T, B)
+    width = _split_width(S)  # 1 for the single-stack architectures
+
+    def block(lo, hi):
+        states = iter(x[:, lo:hi])
+        for params in layers:
+            states = steps(*(a[lo:hi] for a in params), states, active, None)
+        return _reduce_states(cfg, states, lengths)
+
+    if width == 1:
+        return block(0, S)
+    bounds = [(S * k // width, S * (k + 1) // width) for k in range(width)]
+    with ThreadPoolExecutor(width - 1) as pool:
+        others = [pool.submit(block, lo, hi) for lo, hi in bounds[1:]]
+        parts = [block(*bounds[0])] + [f.result() for f in others]
+    return np.concatenate(parts)
 
 
 def _readout_backward(cfg, dfeats, shape, lengths):
@@ -284,6 +338,18 @@ def forward(
     together, one layer's state at t being the next layer's input at t, so
     each holds a two-slot ring of (S, B, H) states and no (T, S, B, H) array
     exists. At dropout 0 the logits are bit-identical either way.
+
+    Inference also splits the S groups into min(S, CPUs in the process's
+    affinity mask) contiguous blocks, one block for a process that a pool
+    started (its siblings fill the cores). Each block steps its layers over
+    the parameter slices of its groups and reduces its own readout, the
+    calling thread one block and worker threads the others, and the
+    readouts are joined along S before the FC layer. The groups share
+    nothing before the FC layer, numpy's stacked matmul runs one product
+    per group at the shape it has in the whole S, and every other operation
+    is elementwise, so the logits have the same bits at every width. The
+    single-stack architectures (S = 1) start no thread, and training runs
+    in the calling thread.
 
     spent, the cache of this model's previous training forward once
     `backward` is done with it, is handed over: forward empties it and
@@ -325,12 +391,10 @@ def forward(
                 order=order,
                 ids=channels,
             )
+            feats = _reduce_states(cfg, h, lengths)
         else:  # lockstep: each layer's state at t is the next layer's input at t
-            active, _ = active_rows(lengths, h.shape[0], h.shape[2])
-            h = iter(h)
-            for params in layers:
-                h = globals()[f"{cell}_steps"](*params, h, active, None)
-        feats = _readout(cfg, h, lengths)[inv]
+            feats = _lockstep(cfg, globals()[f"{cell}_steps"], layers, h, lengths)
+        feats = _flatten(feats)[inv]
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
         m3 = batch.mask()[:, :, None].astype(bool)

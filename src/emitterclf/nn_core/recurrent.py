@@ -58,7 +58,11 @@ at t is layer l+1's input at t: the stores shrink to one step of B rows,
 the states to a two-slot ring, and the LSTM cell state alternates between
 two blocks, as step t reads step t-1's c. Every product and elementwise
 pass keeps its shape and order, so the states are bit-identical either
-way.
+way. model.forward's inference also runs the groups in blocks, one
+generator chain per block of groups over the parameter slices [lo:hi], in
+threads: the groups never mix, and a stacked matmul is one product per
+group at the shape it has in the whole S, so a block's states are the bits
+of its groups in the whole S.
 
 Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
 `layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once

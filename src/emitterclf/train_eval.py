@@ -246,9 +246,10 @@ def evaluate(
     """Inference predictions for every sequence, macro-averaged.
 
     forward(training=False) applies no dropout, keeps no backward cache and
-    steps the recurrent layers together, holding no (T, S, B, H) slab: on
-    `paperlike` (T up to 512) the proposed model adds about 25 MB to peak
-    RSS at batch 256.
+    steps the recurrent layers together, holding no (T, S, B, H) slab, with
+    the proposed model's stacks split over the usable CPUs: on `paperlike`
+    (T up to 512) the proposed model adds about 27 MB to peak RSS at batch
+    256 (25 MB in one block).
     """
     check_class_count(model, test_ds)
     mcfg = model.config

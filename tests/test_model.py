@@ -1,5 +1,10 @@
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -424,6 +429,128 @@ def test_inference_forward_holds_no_time_slab():
     finally:
         tracemalloc.stop()
     assert peak < slab / 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(["minmax", "minmax+perseq"]),
+    readout=st.sampled_from(["last", "mean"]),
+    layers=st.integers(1, 3),
+    hidden=st.sampled_from([1, 3, 8]),
+    lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+    extra=st.integers(0, 3),
+    negative_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    scheme="minmax+perseq", readout="mean", layers=2, hidden=3,
+    lengths=[5, 1, 3], extra=2, negative_zero=True, seed=0,
+)
+def test_split_inference_keeps_width_1_bytes(
+    scheme, readout, layers, hidden, lengths, extra, negative_zero, seed
+):
+    """Inference that splits the S = 3 or 6 attribute stacks into any number of
+    blocks gives the FC inputs and logits of one block, byte for byte; up to
+    6 blocks run at once, more threads than most hosts have cores.
+
+    negative_zero shuts the top layer's output gates over a negative cell
+    state, so every top-layer state is -0.0 and the readout's sign of zero
+    is checked too.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = _cfg(scheme=scheme, readout=readout, layers=layers, hidden=hidden)
+    model = build(cfg, seed=seed % 1000)
+    for p in model.params.values():
+        p += 0.5 * rng.normal(size=p.shape)
+    if negative_zero:
+        model.params[f"lstm{layers - 1}.b"][:, 2 * hidden :] = -1e3  # o and g gates
+    b, t = len(lengths), max(lengths) + extra
+    channels = rng.normal(scale=3.0, size=(b, t, cfg.channels))
+    channels[np.arange(t)[None, :] >= np.array(lengths)[:, None]] = 0
+    batch = NormalizedBatch(
+        channels=channels, lengths=np.array(lengths), labels=np.zeros(b, dtype=np.int64)
+    )
+    feats = []
+
+    def capture(x, W, bias):
+        feats.append(x.copy())
+        return fc_forward(x, W, bias)
+
+    logits = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often: a shared write would show
+    try:
+        with mock.patch.object(model_module, "fc_forward", capture):
+            for width in range(1, cfg.channels + 1):
+                with mock.patch.object(model_module, "_split_width", lambda groups: width):
+                    logits.append(forward(model, batch)[0])
+    finally:
+        sys.setswitchinterval(interval)
+    for got_feats, got in zip(feats[1:], logits[1:]):
+        assert got_feats.tobytes() == feats[0].tobytes()
+        assert got.tobytes() == logits[0].tobytes()
+
+
+def test_split_width_is_one_block_per_usable_cpu(monkeypatch):
+    """The main process splits into min(S, CPUs in its affinity mask) blocks,
+    falling back to os.cpu_count() where there is no affinity call."""
+    cpus = len(os.sched_getaffinity(0))
+    assert [model_module._split_width(s) for s in range(1, 9)] == [
+        min(s, cpus) for s in range(1, 9)
+    ]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [model_module._split_width(s) for s in (1, 2, 3, 6)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [model_module._split_width(s) for s in (1, 3, 6)] == [1, 3, 4]
+
+
+def test_split_width_is_one_in_a_spawned_worker():
+    """A process that a pool started runs its stacks in one block."""
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        assert pool.submit(model_module._split_width, 6).result(timeout=120) == 1
+
+
+@pytest.mark.parametrize("arch", sorted(_GRADCHECK_CONFIGS))
+def test_only_the_attribute_stacks_start_threads(small_dataset, monkeypatch, arch):
+    """On a host with 4 CPUs the S = 6 model steps its stacks in worker threads;
+    the single-stack architectures and the stats MLP start none."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    starts = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = _cfg(architecture=arch, **_GRADCHECK_CONFIGS[arch])
+    forward(build(cfg, seed=3), _batch(small_dataset, cfg, fit_domain_stats(small_dataset)))
+    # width 4: the executor starts a thread per submitted block unless one is idle
+    assert 1 <= len(starts) <= 3 if arch == "attribute_specific_lstm" else not starts
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where):
+    """An exception in any block's steps is raised from forward, and every
+    worker thread has ended by then."""
+    monkeypatch.setattr(model_module, "_split_width", lambda groups: 3)
+    caller = threading.get_ident()
+    real_steps = model_module.lstm_steps
+
+    def steps(*args):
+        if (threading.get_ident() == caller) == (where == "caller"):
+            raise RuntimeError(f"{where} block failed")
+        return real_steps(*args)
+
+    monkeypatch.setattr(model_module, "lstm_steps", steps)
+    cfg = _cfg()
+    batch = _batch(small_dataset, cfg, fit_domain_stats(small_dataset))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{where} block failed"):
+        forward(build(cfg, seed=4), batch)
+    assert threading.active_count() == threads
 
 
 @settings(max_examples=40, deadline=None)
