@@ -3,14 +3,16 @@
 
 Generates the synthetic dataset, makes the stratified train/test split,
 runs the normalization x architecture ablation grid and the baseline
-comparison, trains checkpoints for a subset of methods, and sweeps additive
-test-set noise. All outputs land under --out-dir:
+comparison, and sweeps additive test-set noise over three of the baseline
+models the comparison trained at the run's train seed (proposed,
+gru_discretized_rf, stats_mlp_minmax), so each model is trained once,
+inside a grid. All outputs land under --out-dir:
 
     dataset.ds / train.ds / test.ds
     ablation.csv, ablation_runs.csv
     baselines.csv, baselines_runs.csv
-    noise_sweep.csv, noise_<model>.dat        (gnuplot-ready curves)
-    checkpoints/*.ckpt
+    checkpoints/seed<k>/<method>.ckpt         (each baseline model and seed)
+    noise_sweep.csv, noise_<method>.dat       (gnuplot-ready curves)
 
 Usage:
     python scripts/reproduce_results.py --out-dir results [--jobs 2]
@@ -45,8 +47,6 @@ def main() -> None:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
 
     dataset = out / "dataset.ds"
     train_path = out / "train.ds"
@@ -64,43 +64,21 @@ def main() -> None:
     print(f"split: {train_ds.n} train / {test_ds.n} test (fraction {fraction})")
 
     seed_args = ["--seed", str(args.seed)] if args.seed is not None else []
+    grid_args = ["--config", args.config, "--train", str(train_path), "--test", str(test_path)]
+    grid_args += ["--out-dir", str(out), "--jobs", str(args.jobs)] + seed_args
 
     print("== ablation grid ==")
-    run(
-        ["ablate", "--config", args.config, "--train", str(train_path), "--test", str(test_path)]
-        + ["--out-dir", str(out), "--jobs", str(args.jobs)]
-        + seed_args
-    )
+    run(["ablate"] + grid_args)
 
     print("== baseline table ==")
-    run(
-        ["baselines", "--config", args.config, "--train", str(train_path), "--test", str(test_path)]
-        + ["--out-dir", str(out), "--jobs", str(args.jobs)]
-        + seed_args
-    )
-
-    print("== checkpoints for the noise sweep ==")
-    sweep_models = [
-        ("proposed", []),
-        ("gru_discretized_rf", ["--set", "model.arch=gru_discretized", "--set", "model.norm=discretize",
-                        "--set", "model.gru_use_rf=true"]),
-        ("stats_mlp", ["--set", "model.arch=stats_mlp", "--set", "model.norm=minmax"]),
-    ]
-    ckpts = []
-    for name, overrides in sweep_models:
-        ckpt = ckpt_dir / f"{name}.ckpt"
-        run(
-            ["train", "--config", args.config, "--data", str(train_path), "--out", str(ckpt)]
-            + overrides
-            + seed_args
-        )
-        ckpts.append(str(ckpt))
+    run(["baselines"] + grid_args)
 
     print("== noise sweep ==")
+    seed_dir = out / "checkpoints" / f"seed{cfgmod.train_config(cfg, seed=args.seed).seed}"
+    ckpts = [str(seed_dir / f"{m}.ckpt") for m in ("proposed", "gru_discretized_rf", "stats_mlp_minmax")]
     run(
-        ["noise-sweep", "--config", args.config, "--data", str(test_path)]
+        ["noise-sweep", "--config", args.config, "--data", str(test_path), "--out-dir", str(out)]
         + ["--checkpoint"] + ckpts
-        + ["--out-dir", str(out)]
         + seed_args
     )
     print(f"done; outputs in {out}/")

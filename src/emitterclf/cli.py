@@ -12,16 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
-from .config import ConfigError
-from .data_model import (
-    DatasetFormatError,
-    dataset_fingerprint,
-    load_dataset,
-    save_dataset,
-)
+from .data_model import dataset_fingerprint, load_dataset, save_dataset
 from .model import build, load_checkpoint, save_checkpoint
 from .nn_core import Adam
 from .pulse_sim import add_noise, generate_dataset
@@ -144,7 +139,6 @@ def cmd_train(args) -> int:
         "epoch_losses": result.epoch_losses,
         "train_fingerprint": dataset_fingerprint(train_ds),
         "train_config": train_cfg.to_dict(),
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     save_checkpoint(args.out, result.model, result.stats, meta, optimizer=result.optimizer)
     print(f"wrote {args.out} ({model.config.architecture}, scheme {model.config.scheme})")
@@ -188,7 +182,10 @@ def _cmd_grid(args, run, name: str, keys: tuple[str, ...]) -> int:
     train_ds = load_dataset(args.train)
     test_ds = load_dataset(args.test)
     if train_ds.num_classes != test_ds.num_classes:
-        raise ValueError("train and test datasets declare different class counts")
+        raise ValueError(
+            f"{args.train} declares {train_ds.num_classes} classes "
+            f"but {args.test} declares {test_ds.num_classes}"
+        )
     base_cfg = cfgmod.model_config(cfg, num_classes=train_ds.num_classes)
     train_cfg = cfgmod.train_config(cfg, seed=args.seed)
     _, replicates = cfgmod.eval_params(cfg)
@@ -208,17 +205,39 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    return _cmd_grid(args, run_baselines, "baselines", ("method", "scheme"))
+    def run(train_ds, test_ds, base_cfg, train_cfg, **grid):
+        """run_baselines, keeping each model as checkpoints/seed<k>/<method>.ckpt.
+
+        A checkpoint holds the model, its domain stats and the training
+        data's fingerprint and TrainConfig, but no optimizer state.
+        """
+        result = run_baselines(train_ds, test_ds, base_cfg, train_cfg, return_models=True, **grid)
+        fingerprint = dataset_fingerprint(train_ds)
+        for row in result.rows:
+            method, seed = row["method"], row["seed"]
+            model, stats = result.models[f"{method}|seed={seed}"]
+            meta = {"train_fingerprint": fingerprint}
+            meta["train_config"] = replace(train_cfg, seed=seed).to_dict()
+            ckpt_dir = Path(args.out_dir) / "checkpoints" / f"seed{seed}"
+            ckpt_dir.mkdir(parents=True, exist_ok=True)
+            save_checkpoint(ckpt_dir / f"{method}.ckpt", model, stats, meta)
+        return result
+
+    return _cmd_grid(args, run, "baselines", ("method", "scheme"))
 
 
 def cmd_noise_sweep(args) -> int:
     cfg = _load_cfg(args)
     fractions, _ = cfgmod.eval_params(cfg)
     test_ds = load_dataset(args.data)
-    named = []
+    named, paths = [], {}
     for path in args.checkpoint:
+        name = Path(path).stem  # names the model's curve
+        if name in paths:
+            raise UsageError(f"checkpoints {paths[name]} and {path} would both be curve {name!r}")
+        paths[name] = path
         ck = _load_checkpoint_for(path, test_ds)
-        named.append((Path(path).stem, ck.model, ck.stats))
+        named.append((name, ck.model, ck.stats))
     seed = args.seed if args.seed is not None else cfgmod.train_config(cfg).seed
     rows = noise_sweep(named, test_ds, fractions=fractions, seed=seed)
     out = _outdir(args)
@@ -291,10 +310,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (UsageError, ConfigError, DatasetFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:  # ConfigError, DatasetFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - map to the documented exit code

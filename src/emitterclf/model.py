@@ -133,6 +133,11 @@ class ModelConfig:
         return scheme_channel_count(self.scheme, self.num_attributes)
 
     @property
+    def stacks(self) -> int:
+        """Recurrent stacks S: one per channel (attribute-specific LSTM), 0 (stats MLP) or 1."""
+        return {"attribute_specific_lstm": self.channels, "stats_mlp": 0}.get(self.architecture, 1)
+
+    @property
     def gru_attributes(self) -> tuple[int, ...]:
         return tuple(range(3 if self.gru_use_rf else 2))
 
@@ -169,20 +174,18 @@ def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
     params: dict[str, np.ndarray] = {}
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
-        if cfg.architecture == "attribute_specific_lstm":
-            stacks, din = cfg.channels, 1
-        elif cfg.architecture == "joint_lstm":
-            stacks, din = 1, cfg.channels
-        else:
+        if cfg.architecture == "gru_discretized":
             for j in cfg.gru_attributes:
                 params[f"emb{j}"] = init_embedding(cfg.bins, cfg.embed_dim, rng)
-            stacks, din = 1, len(cfg.gru_attributes) * cfg.embed_dim
+            din = len(cfg.gru_attributes) * cfg.embed_dim
+        else:  # the channels, one per stack or all in one
+            din = cfg.channels // cfg.stacks
         init = init_lstm_params if cell == "lstm" else init_gru_params
         for layer in range(cfg.layers):
-            tensors = init(stacks, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
+            tensors = init(cfg.stacks, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
             for suffix, t in zip(suffixes, tensors):
                 params[f"{cell}{layer}.{suffix}"] = t
-        fc_in = stacks * cfg.hidden
+        fc_in = cfg.stacks * cfg.hidden
     elif cfg.architecture == "stats_mlp":
         sizes = (2 * cfg.channels,) + cfg.mlp_hidden
         for i in range(len(cfg.mlp_hidden)):

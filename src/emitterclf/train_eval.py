@@ -317,10 +317,7 @@ def _run_grid_task(task: tuple) -> tuple[dict, tuple | None]:
 
 def _cell_cost(cfg: ModelConfig) -> int:
     """Static cost key of a grid cell: recurrent stacks x layers, 0 for the stats MLP."""
-    if cfg.architecture == "stats_mlp":
-        return 0
-    stacks = cfg.channels if cfg.architecture == "attribute_specific_lstm" else 1
-    return stacks * cfg.layers
+    return cfg.stacks * cfg.layers
 
 
 def _execute_tasks(tasks: list[tuple], jobs: int) -> list[tuple]:

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emitterclf import cli
+from emitterclf import config as cfgmod
 from emitterclf.cli import main
 from emitterclf.data_model import Dataset, dataset_fingerprint, load_dataset, save_dataset
 from emitterclf.model import ModelConfig, build, load_checkpoint, save_checkpoint
 from emitterclf.normalize import fit_domain_stats
+from emitterclf.train_eval import BASELINES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCRIPTS = CONFIGS.parent / "scripts"
 MICRO = str(CONFIGS / "micro.cfg")
 
 SEPARABLE_CFG = """
@@ -252,6 +258,20 @@ def test_grid_names_the_bad_dataset(tmp_path, capsys):
     assert f"error: {bad}: record 1: malformed seq line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ablate", "baselines"])
+def test_grid_class_count_mismatch_names_both_files(tmp_path, capsys, command):
+    train_path, _, _ = _micro_inputs(tmp_path, data_classes=3)
+    test_path = tmp_path / "test.ds"
+    save_dataset(Dataset(load_dataset(train_path).sequences, 5), test_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = [command, "--config", MICRO, "--train", str(train_path), "--test", str(test_path)]
+    assert main(args + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {train_path} declares 3 classes but {test_path} declares 5" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,jobs", [("ablate", "0"), ("baselines", "-3")])
 def test_grid_refuses_jobs_below_one(tmp_path, capsys, micro_data, command, jobs):
     out = tmp_path / "out"
@@ -299,6 +319,22 @@ def test_noise_sweep_outputs(tmp_path, sep_cfg):
     dat = (out / "noise_m.dat").read_text().splitlines()
     assert dat[0] == "# noise_fraction macro_accuracy"
     assert len(dat) == 3
+
+
+def test_noise_sweep_refuses_two_checkpoints_with_one_stem(tmp_path, capsys):
+    """Two files named m.ckpt would write one noise_m.dat holding both curves."""
+    data, model, stats = _micro_inputs(tmp_path)
+    paths = [tmp_path / "a" / "m.ckpt", tmp_path / "b" / "m.ckpt"]
+    for ckpt in paths:
+        ckpt.parent.mkdir()
+        save_checkpoint(ckpt, model, stats)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = ["noise-sweep", "--data", str(data), "--checkpoint", *map(str, paths), "--out-dir", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -572,3 +608,75 @@ def test_config_values_exit_0_or_1(tmp_path_factory, micro_data, arch, key, valu
     """
     out = tmp_path_factory.getbasetemp() / "property.ckpt"
     assert main(_train_args(micro_data, out, _ARCH_OVERRIDES[arch] + [f"{key}={value}"])) in (0, 1)
+
+
+def test_train_writes_identical_checkpoints(tmp_path, micro_data):
+    """A checkpoint holds no timestamp: two identical runs write the same bytes."""
+    overrides = _ARCH_OVERRIDES["attribute_specific_lstm"]
+    for name in ("a.ckpt", "b.ckpt"):
+        assert main(_train_args(micro_data, tmp_path / name, overrides)) == 0
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    meta = load_checkpoint(tmp_path / "a.ckpt").meta
+    assert sorted(meta) == ["epoch_losses", "train_config", "train_fingerprint"]
+
+
+@pytest.fixture(scope="module")
+def micro_baselines(tmp_path_factory, micro_data):
+    """The out dir of `baselines` on micro data (seeds 0 and 1)."""
+    out = tmp_path_factory.mktemp("baselines")
+    args = ["baselines", "--config", MICRO, "--train", str(micro_data), "--test", str(micro_data)]
+    assert main(args + ["--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("method", list(BASELINES))
+def test_baselines_checkpoint_equals_train_run(tmp_path, micro_data, micro_baselines, method, seed):
+    """The model `baselines` keeps for a method and seed is the one `train` makes
+    with that method's BASELINES fields and that seed."""
+    keys = {f: key for key, (f, _) in cfgmod._MODEL_KEYS.items()}
+    args = ["train", "--config", MICRO, "--data", str(micro_data), "--seed", str(seed)]
+    for f, value in BASELINES[method].items():
+        args += ["--set", f"{keys[f]}={str(value).lower()}"]
+    assert main(args + ["--out", str(tmp_path / "train.ckpt")]) == 0
+    want = load_checkpoint(tmp_path / "train.ckpt")
+    got = load_checkpoint(micro_baselines / "checkpoints" / f"seed{seed}" / f"{method}.ckpt")
+    assert got.model.config == want.model.config
+    assert got.stats.to_dict() == want.stats.to_dict()
+    assert list(got.model.params) == list(want.model.params)
+    for name, value in want.model.params.items():
+        assert got.model.params[name].tobytes() == value.tobytes(), name
+    assert got.meta == {k: want.meta[k] for k in ("train_fingerprint", "train_config")}
+    assert got.opt_tensors is None and got.adam_t is None
+
+
+def test_resume_refuses_a_grid_checkpoint(tmp_path, capsys, micro_data, micro_baselines):
+    ckpt = micro_baselines / "checkpoints" / "seed0" / "proposed.ckpt"
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    args = ["train", "--config", MICRO, "--data", str(micro_data), "--out", str(out)]
+    assert main(args + ["--resume", str(ckpt)]) == 1
+    assert f"error: {ckpt}: checkpoint carries no optimizer state to resume" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_pipeline_trains_each_model_once(tmp_path, monkeypatch):
+    """The micro pipeline sweeps three of the baseline grid's models and runs no `train`."""
+    commands = []
+
+    def recording_main(argv):
+        commands.append(argv[0])
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    argv = ["reproduce_results.py", "--config", MICRO, "--out-dir", str(tmp_path), "--jobs", "1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(SCRIPTS / "reproduce_results.py"), run_name="__main__")
+    assert commands == ["gen", "ablate", "baselines", "noise-sweep"]
+    curves = ("proposed", "gru_discretized_rf", "stats_mlp_minmax")
+    rows = (tmp_path / "noise_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == list(curves) * 2
+    assert sorted(p.name for p in tmp_path.glob("noise_*.dat")) == sorted(
+        f"noise_{c}.dat" for c in curves
+    )

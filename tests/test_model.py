@@ -161,6 +161,28 @@ def test_zeroed_stack_makes_channel_irrelevant(small_dataset):
 
 
 @pytest.mark.parametrize(
+    "arch,scheme,stacks",
+    [
+        ("attribute_specific_lstm", "minmax+perseq", 6),
+        ("attribute_specific_lstm", "minmax", 3),
+        ("joint_lstm", "minmax+perseq", 1),
+        ("gru_discretized", "discretize", 1),
+        ("stats_mlp", "minmax", 0),
+    ],
+)
+def test_build_makes_config_stacks(arch, scheme, stacks):
+    """`ModelConfig.stacks` is the S of every recurrent tensor and of the FC input."""
+    cfg = _cfg(architecture=arch, scheme=scheme)
+    assert cfg.stacks == stacks
+    params = build(cfg, seed=0).params
+    recurrent = [t for n, t in params.items() if n.startswith(("lstm", "gru"))]
+    assert bool(recurrent) == bool(stacks)
+    assert all(t.shape[0] == stacks for t in recurrent)
+    if stacks:
+        assert params["fc.W"].shape[0] == stacks * cfg.hidden
+
+
+@pytest.mark.parametrize(
     "arch,scheme",
     [
         ("attribute_specific_lstm", "minmax+perseq"),
