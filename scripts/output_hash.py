@@ -5,10 +5,12 @@ For all four architectures x {last, mean} readout, trains a model for 2
 epochs on the micro preset and prints a sha256 over its trained
 parameters, its epoch losses, its inference logits on the test split and
 the confusion matrix `evaluate` reports, then one cumulative sha256 of
-those. Before that it prints a sha256 of the serialized dataset (the text
-`save_dataset` writes) that each of the micro, paperlike_small and
-paperlike presets generates at its config seed. Run it at two commits and
-compare the lines:
+those. A last line hashes the 8 confusion matrices again, from `evaluate`
+at batch_size=2: the micro test split's 6 sequences then take 3 batches,
+whose predictions must go back to their own sequences. Before all that it
+prints a sha256 of the serialized dataset (the text `save_dataset`
+writes) that each of the micro, paperlike_small and paperlike presets
+generates at its config seed. Run it at two commits and compare the lines:
 
     python scripts/output_hash.py [--hidden 4] [--dropout 0.0]
 """
@@ -60,7 +62,7 @@ def main() -> None:
     )
     base = cfgmod.model_config(cfg, num_classes=train_ds.num_classes)
     train_cfg = cfgmod.train_config(cfg)
-    total = hashlib.sha256()
+    total, batched = hashlib.sha256(), hashlib.sha256()
     for arch in ARCHITECTURES:
         for readout in ("last", "mean"):
             model_cfg = dataclasses.replace(
@@ -78,7 +80,9 @@ def main() -> None:
             parts = [_sha(*params), _sha(result.epoch_losses), _sha(logits), _sha(confusion)]
             total.update("".join(parts).encode())
             print(arch, readout, *(p[:12] for p in parts))
+            batched.update(_sha(evaluate(result.model, test_ds, result.stats, batch_size=2).confusion).encode())
     print("cumulative", total.hexdigest())
+    print("evaluate batch_size=2", batched.hexdigest())
 
 
 if __name__ == "__main__":

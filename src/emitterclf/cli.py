@@ -10,6 +10,7 @@ ever appear inside report metadata fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from dataclasses import replace
@@ -95,13 +96,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix a ValueError raised in the block with the file it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_checkpoint_for(path, ds):
     """Load a checkpoint and refuse it if its class count differs from the data's."""
     ck = load_checkpoint(path)
-    try:
+    with _naming(path):
         check_class_count(ck.model, ds)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return ck
 
 
@@ -155,17 +163,14 @@ def cmd_eval(args) -> int:
             "its accuracy is not a held-out score",
             file=sys.stderr,
         )
-    report = evaluate(
-        ck.model,
-        test_ds,
-        ck.stats,
-        metadata={
-            "checkpoint": str(args.checkpoint),
-            "data_fingerprint": data_fingerprint,
-            "train_fingerprint": ck.meta.get("train_fingerprint"),
-            "evaluated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
-    )
+    metadata = {
+        "checkpoint": str(args.checkpoint),
+        "data_fingerprint": data_fingerprint,
+        "train_fingerprint": ck.meta.get("train_fingerprint"),
+        "evaluated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }
+    with _naming(args.data):
+        report = evaluate(ck.model, test_ds, ck.stats, metadata=metadata)
     out = _outdir(args)
     write_report_json(report, out / "report.json")
     write_confusion_csv(report, out / "confusion.csv")
@@ -239,7 +244,8 @@ def cmd_noise_sweep(args) -> int:
         ck = _load_checkpoint_for(path, test_ds)
         named.append((name, ck.model, ck.stats))
     seed = args.seed if args.seed is not None else cfgmod.train_config(cfg).seed
-    rows = noise_sweep(named, test_ds, fractions=fractions, seed=seed)
+    with _naming(args.data):
+        rows = noise_sweep(named, test_ds, fractions=fractions, seed=seed)
     out = _outdir(args)
     write_rows_csv(rows, ("model", "noise_fraction", "macro_accuracy"), out / "noise_sweep.csv")
     for name, _, _ in named:

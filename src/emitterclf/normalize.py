@@ -71,14 +71,16 @@ def fit_domain_stats(train: Dataset) -> DomainStats:
     if train.n == 0:
         raise ValueError("cannot fit domain stats on an empty dataset")
     stacked = np.concatenate([s.values for s in train.sequences], axis=0)
-    mins = stacked.min(axis=0)
-    maxs = stacked.max(axis=0)
+    columns = np.ascontiguousarray(stacked.T)  # contiguous rows reduce faster than strided columns
+    mins = columns.min(axis=1)
+    maxs = columns.max(axis=1)
+    del columns  # before std's (N, 3) temporary, so the peak holds two copies of the pulses, not three
     for j in range(NUM_ATTRIBUTES):
         if mins[j] == maxs[j]:
             raise ValueError(
                 f"attribute {ATTRIBUTES[j]} is constant across the dataset (min == max)"
             )
-    return DomainStats(
+    return DomainStats(  # mean and std keep the (N, 3) reduction: checkpoints store their bits
         mins=mins,
         maxs=maxs,
         means=stacked.mean(axis=0),

@@ -245,20 +245,36 @@ def evaluate(
 ) -> EvalReport:
     """Inference predictions for every sequence, macro-averaged.
 
+    The test sequences are batched longest first: a stable sort by
+    non-increasing valid length is cut into consecutive batches of at most
+    `batch_size` rows, and each batch's predictions are written back to its
+    sequences' places in `test_ds`. A batch then steps only as far as its
+    own longest sequence: the 464 test sequences of `paperlike` (T up to
+    512) take 745 recurrent steps at batch 256 instead of 1024 in file
+    order. A row's logits can differ in the last bits with the batch it
+    shares, as they already do between batch sizes (there, at batch 256,
+    by at most 3e-18 on 3 of 464 rows against file order); its prediction
+    does not.
+
     forward(training=False) applies no dropout, keeps no backward cache and
     steps the recurrent layers together, holding no (T, S, B, H) slab, with
     the proposed model's stacks split over the usable CPUs: on `paperlike`
-    (T up to 512) the proposed model adds about 27 MB to peak RSS at batch
-    256 (25 MB in one block).
+    (T up to 512) the proposed model adds about 21 MB to peak RSS at batch
+    256 (20 MB in one block).
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     check_class_count(model, test_ds)
+    if test_ds.n == 0:
+        raise ValueError("the test set holds no sequences to evaluate")
     mcfg = model.config
     normalized = _normalize_all(test_ds, stats, mcfg.scheme, mcfg.bins)
+    order = np.argsort([-ns.valid_length for ns in normalized], kind="stable")
     preds = np.empty(len(normalized), dtype=np.int64)
-    for lo in range(0, len(normalized), batch_size):
-        chunk = normalized[lo : lo + batch_size]
-        logits, _ = forward(model, build_batch(chunk))
-        preds[lo : lo + len(chunk)] = np.argmax(logits, axis=1)
+    for lo in range(0, len(order), batch_size):
+        idx = order[lo : lo + batch_size]
+        logits, _ = forward(model, build_batch([normalized[i] for i in idx]))
+        preds[idx] = np.argmax(logits, axis=1)
     truths = np.array([s.label for s in test_ds.sequences], dtype=np.int64)
     macro, per_class, confusion = classification_report(truths, preds, test_ds.num_classes)
     return EvalReport(

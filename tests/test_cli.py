@@ -460,6 +460,19 @@ def test_class_count_mismatch_refused(tmp_path, capsys, command, model_classes, 
 
 
 @pytest.mark.parametrize("command", ["eval", "noise-sweep"])
+def test_eval_refuses_an_empty_dataset(tmp_path, capsys, command):
+    _, model, stats = _micro_inputs(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, stats)
+    empty = tmp_path / "empty.ds"
+    empty.write_text("# emitter-dataset v1\nclasses 3\n")
+    capsys.readouterr()
+    assert main(_checkpoint_args(command, ckpt, empty, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"{empty}: the test set holds no sequences to evaluate" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-sweep"])
 def test_eval_refuses_truncated_checkpoint(tmp_path, capsys, command):
     data, model, stats = _micro_inputs(tmp_path)
     ckpt = tmp_path / "m.ckpt"

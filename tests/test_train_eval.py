@@ -38,6 +38,8 @@ from emitterclf.train_eval import (
     write_rows_csv,
 )
 
+from conftest import predict
+
 
 def _check_consistency(report, class_counts=None) -> None:
     """The report's totals, per-class accuracies and macro average agree."""
@@ -311,11 +313,71 @@ def test_training_holds_one_batch_of_state(arch):
     assert peak(4) < 1.1 * peak(1)
 
 
-def test_evaluate_report_consistency(separable_ds):
+@pytest.fixture(scope="module")
+def separable_model(separable_ds):
+    """A model trained on separable_ds, and its stats and one-at-a-time predictions."""
     result = train(build(_mcfg(), seed=7), separable_ds, _tcfg())
-    report = evaluate(result.model, separable_ds, result.stats)
+    preds = [predict(result.model, s, result.stats)[0] for s in separable_ds.sequences]
+    assert len(set(preds)) > 1  # a constant predictor would hide a misplaced prediction
+    return result.model, result.stats, preds
+
+
+def test_evaluate_report_consistency(separable_ds, separable_model):
+    model, stats, _ = separable_model
+    report = evaluate(model, separable_ds, stats)
     _check_consistency(report, separable_ds.class_counts)
     assert report.n_test == separable_ds.n
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 8, 24, 25])
+def test_evaluate_batches_longest_first(monkeypatch, separable_ds, separable_model, batch_size):
+    """Each test sequence lands in exactly one batch of at most batch_size
+    rows, the batches run longest first, and their summed T is the least
+    that any split into batches of at most batch_size rows can give."""
+    batches = []
+    real_build_batch = train_eval.build_batch
+
+    def recording(normalized):
+        batches.append(list(normalized))
+        return real_build_batch(normalized)
+
+    monkeypatch.setattr(train_eval, "build_batch", recording)
+    model, stats, _ = separable_model
+    evaluate(model, separable_ds, stats, batch_size=batch_size)
+    rows = [ns for batch in batches for ns in batch]
+    assert len(rows) == len({id(ns) for ns in rows}) == separable_ds.n
+    assert all(len(batch) <= batch_size for batch in batches)
+    lengths = [ns.valid_length for ns in rows]
+    assert lengths == sorted((s.length for s in separable_ds.sequences), reverse=True)
+    assert sum(batch[0].valid_length for batch in batches) == sum(lengths[::batch_size])
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm=st.permutations(range(24)), batch_size=st.integers(1, 25))
+@example(perm=list(range(24)), batch_size=2)
+def test_evaluate_matches_one_sequence_at_a_time(separable_ds, separable_model, perm, batch_size):
+    """In any test-set order and at any batch size, evaluate's confusion is
+    the one built from predicting each sequence on its own: every batch's
+    predictions go back to their own sequences."""
+    assert separable_ds.n == 24
+    model, stats, preds = separable_model
+    ds = Dataset([separable_ds.sequences[i] for i in perm], 2)
+    report = evaluate(model, ds, stats, batch_size=batch_size)
+    _, _, want = classification_report([s.label for s in ds.sequences], [preds[i] for i in perm], 2)
+    assert np.array_equal(report.confusion, want)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_refuses_batch_size_below_one(separable_ds, separable_model, batch_size):
+    model, stats, _ = separable_model
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        evaluate(model, separable_ds, stats, batch_size=batch_size)
+
+
+def test_evaluate_refuses_an_empty_test_set(separable_model):
+    model, stats, _ = separable_model
+    with pytest.raises(ValueError, match="the test set holds no sequences to evaluate"):
+        evaluate(model, Dataset([], 2), stats)
 
 
 def test_stats_are_a_function_of_the_training_split_only(separable_ds):
