@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Hash what training and inference produce, to check that a change is bit-identical.
 
-For all four architectures x {last, mean} readout, trains a model for 2
+For each of the four architectures, trains a model for 2
 epochs on the micro preset and prints a sha256 over its trained
 parameters, its epoch losses, its inference logits on the test split and
 the confusion matrix `evaluate` reports, then one cumulative sha256 of
-those. A last line hashes the 8 confusion matrices again, from `evaluate`
+those. A last line hashes the 4 confusion matrices again, from `evaluate`
 at batch_size=2: the micro test split's 6 sequences then take 3 batches,
 whose predictions must go back to their own sequences. Before all that it
 prints a sha256 of the serialized dataset (the text `save_dataset`
@@ -64,23 +64,22 @@ def main() -> None:
     train_cfg = cfgmod.train_config(cfg)
     total, batched = hashlib.sha256(), hashlib.sha256()
     for arch in ARCHITECTURES:
-        for readout in ("last", "mean"):
-            model_cfg = dataclasses.replace(
-                base, architecture=arch, scheme=SCHEMES[arch], readout=readout,
-                hidden=args.hidden, dropout=args.dropout, embed_dim=4, mlp_hidden=(8, 8),
-            )
-            result = train(build(model_cfg, seed=train_cfg.seed), train_ds, train_cfg)
-            params = [result.model.params[n] for n in sorted(result.model.params)]
-            normalized = [
-                normalize_scheme(s, result.stats, model_cfg.scheme, model_cfg.bins)
-                for s in test_ds.sequences
-            ]
-            logits, _ = forward(result.model, build_batch(normalized))
-            confusion = evaluate(result.model, test_ds, result.stats).confusion
-            parts = [_sha(*params), _sha(result.epoch_losses), _sha(logits), _sha(confusion)]
-            total.update("".join(parts).encode())
-            print(arch, readout, *(p[:12] for p in parts))
-            batched.update(_sha(evaluate(result.model, test_ds, result.stats, batch_size=2).confusion).encode())
+        model_cfg = dataclasses.replace(
+            base, architecture=arch, scheme=SCHEMES[arch],
+            hidden=args.hidden, dropout=args.dropout, embed_dim=4, mlp_hidden=(8, 8),
+        )
+        result = train(build(model_cfg, seed=train_cfg.seed), train_ds, train_cfg)
+        params = [result.model.params[n] for n in sorted(result.model.params)]
+        normalized = [
+            normalize_scheme(s, result.stats, model_cfg.scheme, model_cfg.bins)
+            for s in test_ds.sequences
+        ]
+        logits, _ = forward(result.model, build_batch(normalized))
+        confusion = evaluate(result.model, test_ds, result.stats).confusion
+        parts = [_sha(*params), _sha(result.epoch_losses), _sha(logits), _sha(confusion)]
+        total.update("".join(parts).encode())
+        print(arch, *(p[:12] for p in parts))
+        batched.update(_sha(evaluate(result.model, test_ds, result.stats, batch_size=2).confusion).encode())
     print("cumulative", total.hexdigest())
     print("evaluate batch_size=2", batched.hexdigest())
 

@@ -20,7 +20,7 @@ from . import config as cfgmod
 from .data_model import dataset_fingerprint, load_dataset, save_dataset
 from .model import build, load_checkpoint, save_checkpoint
 from .nn_core import Adam
-from .pulse_sim import add_noise, generate_dataset
+from .pulse_sim import generate_dataset
 from .train_eval import (
     check_class_count,
     evaluate,
@@ -78,18 +78,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_gen(args) -> int:
-    if args.from_dataset:
-        if args.config or args.set:
-            raise UsageError("gen --from-dataset reads no --config or --set (its noise is --noise)")
-        ds = load_dataset(args.from_dataset)
-        seed = args.seed if args.seed is not None else 0
-        out = add_noise(ds, args.noise or 0.0, seed)
-    else:
-        if args.noise is not None:
-            raise UsageError("gen --noise needs --from-dataset; set sim.noise to simulate noise")
-        if not args.config:
-            raise UsageError("gen needs --config (or --from-dataset for a noisy copy)")
-        out = generate_dataset(cfgmod.sim_config(_load_cfg(args), seed=args.seed))
+    out = generate_dataset(cfgmod.sim_config(_load_cfg(args), seed=args.seed))
     save_dataset(out, args.out)
     counts = ",".join(str(int(c)) for c in out.class_counts)
     print(f"wrote {args.out}: N={out.n} C={out.num_classes} class_counts={counts}")
@@ -123,26 +112,21 @@ def cmd_train(args) -> int:
         if ck.opt_tensors is None or ck.adam_t is None:
             raise ValueError(f"{args.resume}: checkpoint carries no optimizer state to resume")
         model, stats, prior = ck.model, ck.stats, list(ck.meta.get("epoch_losses", []))
-        optimizer = Adam(
-            model.params,
-            train_cfg.learning_rate,
-            train_cfg.beta1,
-            train_cfg.beta2,
-            train_cfg.eps,
-        )
+        optimizer = Adam(model.params, train_cfg.learning_rate)
         optimizer.load_state(ck.opt_tensors, ck.adam_t)
     else:
         model_cfg = cfgmod.model_config(cfg, num_classes=train_ds.num_classes)
         model = build(model_cfg, seed=train_cfg.seed)
-    result = train(
-        model,
-        train_ds,
-        train_cfg,
-        stats=stats,
-        optimizer=optimizer,
-        prior_losses=prior,
-        on_epoch=lambda e, l: print(f"epoch {e}: loss {l:.6f}"),
-    )
+    with _naming(args.data):
+        result = train(
+            model,
+            train_ds,
+            train_cfg,
+            stats=stats,
+            optimizer=optimizer,
+            prior_losses=prior,
+            on_epoch=lambda e, l: print(f"epoch {e}: loss {l:.6f}"),
+        )
     meta = {
         "epoch_losses": result.epoch_losses,
         "train_fingerprint": dataset_fingerprint(train_ds),
@@ -186,6 +170,9 @@ def _cmd_grid(args, run, name: str, keys: tuple[str, ...]) -> int:
     cfg = _load_cfg(args)
     train_ds = load_dataset(args.train)
     test_ds = load_dataset(args.test)
+    for flag, path, ds in (("--train", args.train, train_ds), ("--test", args.test, test_ds)):
+        if ds.n == 0:
+            raise ValueError(f"{flag} {path}: the dataset holds no sequences")
     if train_ds.num_classes != test_ds.num_classes:
         raise ValueError(
             f"{args.train} declares {train_ds.num_classes} classes "
@@ -195,7 +182,8 @@ def _cmd_grid(args, run, name: str, keys: tuple[str, ...]) -> int:
     train_cfg = cfgmod.train_config(cfg, seed=args.seed)
     _, replicates = cfgmod.eval_params(cfg)
     seeds = tuple(train_cfg.seed + k for k in range(replicates))
-    result = run(train_ds, test_ds, base_cfg, train_cfg, seeds=seeds, jobs=args.jobs)
+    with _naming(args.train):  # the test set's own faults are refused above
+        result = run(train_ds, test_ds, base_cfg, train_cfg, seeds=seeds, jobs=args.jobs)
     out = _outdir(args)
     write_rows_csv(result.rows, (*keys, "seed", "macro_accuracy"), out / f"{name}_runs.csv")
     write_rows_csv(result.summary, (*keys, "median_macro_accuracy"), out / f"{name}.csv")
@@ -262,11 +250,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="emitterclf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset (or a noisy copy)")
-    _add_common(p, config_required=False)
+    p = sub.add_parser("gen", help="generate a synthetic dataset")
+    _add_common(p)
     p.add_argument("--out", required=True, help="output dataset file")
-    p.add_argument("--from-dataset", default=None, help="perturb an existing dataset instead")
-    p.add_argument("--noise", type=float, default=None, help="noise fraction for --from-dataset")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="fit stats, train a model, write a checkpoint")

@@ -14,11 +14,15 @@ Sections::
     sim.class.<i>.pw    (same pattern algebra as pri)
     sim.class.<i>.rf    constant v | hop dwell v1 v2 ...
     model.arch / model.norm / model.hidden / model.layers / model.dropout
-    model.readout / model.bins / model.embed / model.mlp_hidden / model.gru_use_rf
-    train.epochs / train.batch / train.lr / train.beta1 / train.beta2
-    train.eps / train.clip / train.shuffle / train.patience / train.seed
+    model.bins / model.embed / model.mlp_hidden / model.gru_use_rf
+    train.epochs / train.batch / train.lr / train.clip / train.shuffle / train.seed
     split.fraction / split.seed
     eval.fractions / eval.replicates
+
+Every key has a caller in a preset, a test or a script. Three things are
+not settings: the readout (each stack's state at its last valid pulse),
+early stopping (training runs all train.epochs) and Adam's betas and eps
+(0.9, 0.999, 1e-8).
 """
 
 from __future__ import annotations
@@ -136,7 +140,6 @@ _MODEL_KEYS = {
     "model.hidden": ("hidden", _one(int)),
     "model.layers": ("layers", _one(int)),
     "model.dropout": ("dropout", _one(float)),
-    "model.readout": ("readout", _one(str)),
     "model.bins": ("bins", _one(int)),
     "model.embed": ("embed_dim", _one(int)),
     "model.mlp_hidden": ("mlp_hidden", lambda ts: [int(t) for t in ts]),
@@ -146,12 +149,8 @@ _TRAIN_KEYS = {
     "train.epochs": ("epochs", _one(int)),
     "train.batch": ("batch_size", _one(int)),
     "train.lr": ("learning_rate", _one(float)),
-    "train.beta1": ("beta1", _one(float)),
-    "train.beta2": ("beta2", _one(float)),
-    "train.eps": ("eps", _one(float)),
     "train.clip": ("clip_norm", _one(float)),
     "train.shuffle": ("shuffle", _bool),
-    "train.patience": ("patience", _one(int)),
     "train.seed": ("seed", _one(int)),
 }
 
@@ -213,8 +212,6 @@ def train_config(cfg: dict[str, list[str]], seed: int | None = None) -> TrainCon
     kw = _fields(cfg, _TRAIN_KEYS)
     if seed is not None:
         kw["seed"] = seed
-    if kw.get("patience", 1) < 1:  # patience 0 means no early stopping
-        kw["patience"] = None
     try:
         return TrainConfig(**kw)
     except ValueError as exc:

@@ -16,10 +16,12 @@ The three recurrent architectures run one stacked-layer loop. Rows are
 sorted by valid length, an input adapter turns the (B, T, K) channels into
 the layer-0 kernel input (T, S, B, Din), the L layers run (with training,
 one after another with dropout between them; in inference, together per
-timestep), and the readout takes the top layer's hidden states back to the
-original row order. Inference splits the S stacks of the attribute-specific
-LSTM into one block per usable CPU and steps the blocks in threads; see
-`forward`. The adapters are: one single-channel stream per stack
+timestep), and the readout takes the top layer's final state back to the
+original row order. The state is carried over padded steps, so that is
+each sequence's state at its last valid timestep; it is the only readout.
+Inference splits the S stacks of the attribute-specific LSTM into one
+block per usable CPU and steps the blocks in threads; see `forward`. The
+adapters are: one single-channel stream per stack
 (attribute-specific LSTM), the full channel vector as one stream (joint
 LSTM), and embedding lookup of the discretized attributes, whose gradient
 is layer 0's input gradient (GRU). `_RECURRENT` names each architecture's
@@ -101,7 +103,6 @@ class ModelConfig:
     layers: int = 2
     hidden: int = 64
     dropout: float = 0.5
-    readout: str = "last"
     bins: int = DEFAULT_BINS
     embed_dim: int = 32
     mlp_hidden: tuple[int, ...] = (64, 64)
@@ -121,8 +122,6 @@ class ModelConfig:
             raise ValueError(f"need bins >= 2, got {self.bins}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.readout not in ("last", "mean"):
-            raise ValueError(f"unknown readout {self.readout!r}")
         if (self.architecture == "gru_discretized") != (self.scheme == "discretize"):
             raise ValueError(
                 "the discretize scheme and the gru_discretized architecture require each other"
@@ -146,6 +145,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Older checkpoints also name their readout, "last"; any other readout is refused."""
+        d = dict(d)
+        readout = d.pop("readout", "last")
+        if readout != "last":
+            raise ValueError(f"readout {readout!r}: only the last-state readout exists")
         return cls(**d)
 
 
@@ -243,26 +247,6 @@ def _sort_by_length(batch: NormalizedBatch):
     return batch.channels[order], batch.lengths[order], order, inv
 
 
-def _reduce_states(cfg, states, lengths):
-    """Top-layer states, one (S, B, H) block per step -> their (S, B, H) readout.
-
-    With the carried state, the final step's state already equals each
-    sequence's state at its last valid step, so `last` keeps only that.
-    `mean` keeps a running masked sum that starts from +0.0, as numpy's
-    (h_seq * mask).sum(axis=0) does: a sum of -0.0 terms is +0.0 in both.
-    Every operation is elementwise, so a block of groups reduces to the
-    same bits as those groups of the whole S.
-    """
-    if cfg.readout == "last":
-        for feats in states:
-            pass
-        return feats
-    feats = 0.0  # the first += makes a new (S, B, H) array, 0.0 + term
-    for t, h in enumerate(states):
-        feats += h * (t < lengths)[None, :, None].astype(np.float64)
-    return feats / lengths[None, :, None]
-
-
 def _flatten(feats):
     """(S, B, H) readout -> (B, S*H) features, stack s in columns [s*H, (s+1)*H)."""
     s, b, h = feats.shape
@@ -284,14 +268,16 @@ def _split_width(groups: int) -> int:
     return min(groups, cpus)
 
 
-def _lockstep(cfg, steps, layers, x, lengths):
+def _lockstep(steps, layers, x, lengths):
     """Inference over x (T, S, B, Din) in _split_width(S) blocks of groups -> (S, B, H) readout.
 
     Each block [lo, hi) chains one step generator per layer over the
     parameter slices [lo:hi], so layer l's state at t is layer l+1's input
-    at t, and reduces its top-layer states. The calling thread runs the
-    first block and worker threads the others; they share only read-only
-    inputs, and the readout has the bits of width 1 (see `forward`).
+    at t, and keeps its top layer's final state: with the carried state,
+    that is each sequence's state at its last valid step. The calling
+    thread runs the first block and worker threads the others; they share
+    only read-only inputs, and the readout has the bits of width 1 (see
+    `forward`).
     """
     T, S, B, _ = x.shape
     active, _ = active_rows(lengths, T, B)
@@ -301,7 +287,9 @@ def _lockstep(cfg, steps, layers, x, lengths):
         states = iter(x[:, lo:hi])
         for params in layers:
             states = steps(*(a[lo:hi] for a in params), states, active, None)
-        return _reduce_states(cfg, states, lengths)
+        for last in states:
+            pass
+        return last
 
     if width == 1:
         return block(0, S)
@@ -312,16 +300,11 @@ def _lockstep(cfg, steps, layers, x, lengths):
     return np.concatenate(parts)
 
 
-def _readout_backward(cfg, dfeats, shape, lengths):
-    b, f = dfeats.shape
-    t, s, _, h = shape
-    dgrouped = np.ascontiguousarray(dfeats.reshape(b, s, h).transpose(1, 0, 2))
+def _readout_backward(dfeats, shape):
+    """(B, S*H) feature gradient -> the (T, S, B, H) top-layer gradient, nonzero at the last step."""
+    _, s, b, h = shape
     dh_seq = np.zeros(shape)
-    if cfg.readout == "last":
-        dh_seq[-1] = dgrouped
-    else:
-        mask = (np.arange(t)[:, None] < lengths[None, :]).astype(np.float64)
-        dh_seq += dgrouped[None] * (mask[:, None, :, None] / lengths[None, None, :, None])
+    dh_seq[-1] = dfeats.reshape(b, s, h).transpose(1, 0, 2)
     return dh_seq
 
 
@@ -345,7 +328,7 @@ def forward(
     Inference also splits the S groups into min(S, CPUs in the process's
     affinity mask) contiguous blocks, one block for a process that a pool
     started (its siblings fill the cores). Each block steps its layers over
-    the parameter slices of its groups and reduces its own readout, the
+    the parameter slices of its groups and keeps its own readout, the
     calling thread one block and worker threads the others, and the
     readouts are joined along S before the FC layer. The groups share
     nothing before the FC layer, numpy's stacked matmul runs one product
@@ -390,13 +373,12 @@ def forward(
                 layer_caches=layer_caches,
                 drop_masks=drop_masks,
                 h_shape=h.shape,
-                lengths=lengths,
                 order=order,
                 ids=channels,
             )
-            feats = _reduce_states(cfg, h, lengths)
+            feats = h[-1]  # the carried state: each sequence's state at its last valid step
         else:  # lockstep: each layer's state at t is the next layer's input at t
-            feats = _lockstep(cfg, globals()[f"{cell}_steps"], layers, h, lengths)
+            feats = _lockstep(globals()[f"{cell}_steps"], layers, h, lengths)
         feats = _flatten(feats)[inv]
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
@@ -443,7 +425,7 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
         cell, suffixes = _RECURRENT[cfg.architecture]
         kernel = globals()[f"{cell}_backward"]
         dfeats = dfeats[cache["order"]]
-        dh_seq = _readout_backward(cfg, dfeats, cache["h_shape"], cache["lengths"])
+        dh_seq = _readout_backward(dfeats, cache["h_shape"])
         for layer in range(cfg.layers - 1, -1, -1):
             names = [f"{cell}{layer}.{s}" for s in suffixes]
             *dparams, dx = kernel(*(p[n] for n in names), cache["layer_caches"][layer], dh_seq)

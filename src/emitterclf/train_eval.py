@@ -73,23 +73,15 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     seed: int = 0
     shuffle: bool = True
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not self.clip_norm > 0:  # also refuses NaN
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
@@ -124,7 +116,7 @@ def train(
     prior_losses: list[float] | None = None,
     on_epoch=None,
 ) -> TrainResult:
-    """Train with weighted cross-entropy, BPTT, clipping, and Adam.
+    """Train with weighted cross-entropy, BPTT, clipping, and Adam (its default betas and eps).
 
     Domain stats (unless passed in) and the median-frequency class weights
     are fitted on `train_ds` only. To resume, pass the checkpoint's stats,
@@ -144,7 +136,7 @@ def train(
     class_weights = median_frequency_weights(train_ds.class_counts)
     normalized = _normalize_all(train_ds, stats, mcfg.scheme, mcfg.bins)
     if optimizer is None:
-        optimizer = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+        optimizer = Adam(model.params, cfg.learning_rate)
     losses = list(prior_losses or [])
     n = len(normalized)
     cache = None
@@ -177,10 +169,6 @@ def train(
         losses.append(epoch_loss)
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss)
-        if cfg.patience is not None and len(losses) > cfg.patience:
-            best_old = min(losses[: -cfg.patience])
-            if min(losses[-cfg.patience :]) >= best_old:
-                break
     return TrainResult(
         model=model,
         stats=stats,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitterclf import cli
+from emitterclf import cli, train_eval
 from emitterclf import config as cfgmod
 from emitterclf.cli import main
 from emitterclf.data_model import Dataset, dataset_fingerprint, load_dataset, save_dataset
@@ -81,19 +81,6 @@ def test_gen_seed_override_changes_output(tmp_path):
     main(["gen", "--config", MICRO, "--out", str(a)])
     main(["gen", "--config", MICRO, "--out", str(b), "--seed", "99"])
     assert a.read_bytes() != b.read_bytes()
-
-
-def test_gen_noisy_copy_of_existing(tmp_path):
-    src = tmp_path / "src.ds"
-    main(["gen", "--config", MICRO, "--out", str(src)])
-    noisy = tmp_path / "noisy.ds"
-    assert (
-        main(["gen", "--from-dataset", str(src), "--noise", "0.1", "--out", str(noisy), "--seed", "1"])
-        == 0
-    )
-    a, b = load_dataset(src), load_dataset(noisy)
-    assert [s.label for s in a.sequences] == [s.label for s in b.sequences]
-    assert not np.array_equal(a.sequences[0].values, b.sequences[0].values)
 
 
 def test_train_eval_round_trip(tmp_path, sep_cfg, capsys):
@@ -375,16 +362,14 @@ def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
     "extra,named",
     [
         (["--config", MICRO, "--noise", "0.3"], "--noise"),
-        (["--from-dataset", "{src}", "--config", MICRO], "--config"),
-        (["--from-dataset", "{src}", "--set", "sim.noise=0.4"], "--set"),
         (["--config", MICRO, "--set", "sim.class.01.pri=constant,999"], "sim.class.01.pri"),
     ],
-    ids=["noise-without-from-dataset", "from-dataset-config", "from-dataset-set", "class-index-01"],
+    ids=["noise-without-from-dataset", "class-index-01"],
 )
-def test_gen_refuses_what_it_would_ignore(tmp_path, capsys, micro_data, extra, named):
+def test_gen_refuses_what_it_would_ignore(tmp_path, capsys, extra, named):
     out = tmp_path / "d.ds"
     capsys.readouterr()
-    assert main(["gen", "--out", str(out)] + [a.format(src=micro_data) for a in extra]) == 1
+    assert main(["gen", "--out", str(out)] + extra) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -603,9 +588,9 @@ def test_resume_equals_uninterrupted_run_property(
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
-_KEYS = [f"model.{k}" for k in "arch norm hidden layers dropout readout bins embed mlp_hidden".split()]
+_KEYS = [f"model.{k}" for k in "arch norm hidden layers dropout bins embed mlp_hidden".split()]
 _KEYS += ["model.gru_use_rf"]
-_KEYS += [f"train.{k}" for k in "epochs batch lr beta1 beta2 eps clip shuffle patience seed".split()]
+_KEYS += [f"train.{k}" for k in "epochs batch lr clip shuffle seed".split()]
 
 
 @given(
@@ -621,6 +606,153 @@ def test_config_values_exit_0_or_1(tmp_path_factory, micro_data, arch, key, valu
     """
     out = tmp_path_factory.getbasetemp() / "property.ckpt"
     assert main(_train_args(micro_data, out, _ARCH_OVERRIDES[arch] + [f"{key}={value}"])) in (0, 1)
+
+
+_REMOVED_KEYS = [
+    "model.readout=last",
+    "train.patience=2",
+    "train.beta1=0.9",
+    "train.beta2=0.999",
+    "train.eps=1e-8",
+]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        *(
+            (["train", "--config", MICRO, "--data", "{data}", "--out", "{out}", "--set", item], item)
+            for item in _REMOVED_KEYS
+        ),
+        (["gen", "--config", MICRO, "--out", "{out}", "--from-dataset", "{data}"], "--from-dataset"),
+        (["gen", "--config", MICRO, "--out", "{out}", "--noise", "0.1"], "--noise"),
+    ],
+    ids=[item.split("=")[0] for item in _REMOVED_KEYS] + ["--from-dataset", "--noise"],
+)
+def test_removed_settings_are_refused(tmp_path, capsys, micro_data, argv, named):
+    """The readout choice, early stopping, Adam's betas and eps and gen's
+    noisy-copy mode are gone: naming one is refused, not ignored."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([a.format(data=micro_data, out=out) for a in argv]) == 1
+    assert named.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _empty_dataset(tmp_path):
+    path = tmp_path / "empty.ds"
+    path.write_text("# emitter-dataset v1\nclasses 3\n")
+    return path
+
+
+def _without_class_2(tmp_path, micro_data):
+    """The micro data minus its class-2 sequences, still declaring 3 classes."""
+    ds = load_dataset(micro_data)
+    path = tmp_path / "no_class_2.ds"
+    save_dataset(Dataset([s for s in ds.sequences if s.label != 2], 3), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["ablate", "baselines"])
+@pytest.mark.parametrize("flag", ["--train", "--test"])
+def test_grid_refuses_an_empty_dataset_before_training(
+    tmp_path, capsys, monkeypatch, micro_data, command, flag
+):
+    def no_task(tasks, jobs):
+        raise AssertionError("a grid task started")  # would exit 2
+
+    monkeypatch.setattr(train_eval, "_execute_tasks", no_task)
+    empty = _empty_dataset(tmp_path)
+    data = {"--train": micro_data, "--test": micro_data, flag: empty}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = [command, "--config", MICRO, "--train", str(data["--train"]), "--test", str(data["--test"])]
+    assert main(args + ["--out-dir", str(out)]) == 1
+    assert f"error: {flag} {empty}: the dataset holds no sequences" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,fault,message",
+    [
+        ("train", "empty", "cannot fit domain stats on an empty dataset"),
+        ("train", "no-class-2", "class 2 has no training sequences"),
+        ("ablate", "no-class-2", "class 2 has no training sequences"),
+        ("baselines", "no-class-2", "class 2 has no training sequences"),
+    ],
+)
+def test_training_data_faults_name_the_file(tmp_path, capsys, micro_data, command, fault, message):
+    bad = _empty_dataset(tmp_path) if fault == "empty" else _without_class_2(tmp_path, micro_data)
+    out = tmp_path / "out"
+    if command == "train":
+        args = _train_args(bad, out, [])
+    else:
+        args = [command, "--config", MICRO, "--train", str(bad), "--test", str(micro_data)]
+        args += ["--out-dir", str(out), "--set", "train.epochs=1"]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _with_readout(ckpt, path, readout):
+    """A copy of ckpt whose config also carries `readout`, as checkpoints
+    written while the readout was a setting do."""
+    magic, header, rest = ckpt.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    fields["config"]["readout"] = readout
+    path.write_bytes(b"\n".join([magic, json.dumps(fields, sort_keys=True).encode(), rest]))
+    return path
+
+
+def test_checkpoint_with_last_readout_evaluates_and_resumes(tmp_path, capsys, micro_data):
+    """A checkpoint that names the last-state readout scores and resumes to
+    the bytes of the same checkpoint without it."""
+    fresh = tmp_path / "fresh.ckpt"
+    assert main(_train_args(micro_data, fresh, [])) == 0
+    paths = {"fresh": fresh, "old": _with_readout(fresh, tmp_path / "old.ckpt", "last")}
+    printed, resumed = {}, {}
+    for name, ckpt in paths.items():
+        capsys.readouterr()
+        assert main(_checkpoint_args("eval", ckpt, micro_data, tmp_path / name)) == 0
+        printed[name] = capsys.readouterr().out
+        out = tmp_path / f"{name}_resumed.ckpt"
+        resume = _checkpoint_args("train", ckpt, micro_data, out) + ["--set", "train.epochs=2"]
+        assert main(resume) == 0
+        resumed[name] = out.read_bytes()
+    assert printed["old"] == printed["fresh"]
+    reports = [json.loads((tmp_path / name / "report.json").read_text()) for name in paths]
+    for report in reports:  # names its checkpoint and the time of the run
+        del report["metadata"]["checkpoint"], report["metadata"]["evaluated_at"]
+    assert reports[0] == reports[1]
+    confusions = [(tmp_path / name / "confusion.csv").read_bytes() for name in paths]
+    assert confusions[0] == confusions[1]
+    assert resumed["old"] == resumed["fresh"]
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-sweep", "train"])
+def test_checkpoint_with_mean_readout_refused(tmp_path, capsys, micro_data, command):
+    fresh = tmp_path / "fresh.ckpt"
+    assert main(_train_args(micro_data, fresh, [])) == 0
+    ckpt = _with_readout(fresh, tmp_path / "mean.ckpt", "mean")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_checkpoint_args(command, ckpt, micro_data, out)) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "readout 'mean'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_every_preset_builds_its_settings(preset):
+    """Each shipped preset parses, and its sim, model, train, split and eval
+    sections build; perfbench and the pipeline load them."""
+    cfg = cfgmod.load_config(CONFIGS / preset)
+    sim = cfgmod.sim_config(cfg)
+    assert cfgmod.model_config(cfg, num_classes=len(sim.emitters)).num_classes == len(sim.emitters)
+    cfgmod.train_config(cfg)
+    cfgmod.split_params(cfg)
+    cfgmod.eval_params(cfg)
 
 
 def test_train_writes_identical_checkpoints(tmp_path, micro_data):

@@ -104,8 +104,6 @@ def test_invalid_configurations_rejected():
         _cfg(architecture="attribute_specific_lstm", scheme="discretize")
     with pytest.raises(ValueError):
         _cfg(dropout=1.0)
-    with pytest.raises(ValueError):
-        _cfg(readout="max")
 
 
 def test_channel_count_mismatch_raises(small_dataset):
@@ -286,12 +284,6 @@ def test_end_to_end_gradients_stats_mlp():
     _model_gradcheck(cfg, ds, seed=6)
 
 
-def test_end_to_end_gradients_mean_readout():
-    ds = _tiny_dataset()
-    cfg = _cfg(hidden=3, readout="mean")
-    _model_gradcheck(cfg, ds, seed=7)
-
-
 _GRADCHECK_CONFIGS = {
     "attribute_specific_lstm": dict(scheme="minmax+perseq", hidden=3),
     "joint_lstm": dict(scheme="minmax", hidden=3),
@@ -325,12 +317,11 @@ def _without_dropout(model):
     return SequenceClassifier(dataclasses.replace(model.config, dropout=0.0), model.params)
 
 
-@pytest.mark.parametrize("readout", ["last", "mean"])
 @pytest.mark.parametrize("arch", list(_GRADCHECK_CONFIGS))
-def test_cacheless_forward_logits_bit_identical(small_dataset, arch, readout):
+def test_cacheless_forward_logits_bit_identical(small_dataset, arch):
     """Inference keeps no backward stores, applies no dropout, and returns the
     logit bytes of the training forward without dropout."""
-    cfg = _cfg(architecture=arch, readout=readout, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
+    cfg = _cfg(architecture=arch, dropout=0.3, **_GRADCHECK_CONFIGS[arch])
     model = build(cfg, seed=12)
     batch = _batch(small_dataset, cfg, fit_domain_stats(small_dataset))
     logits, cache = forward(_without_dropout(model), batch, training=True)
@@ -360,7 +351,6 @@ _RECURRENT_CONFIGS = {a: kw for a, kw in _GRADCHECK_CONFIGS.items() if a != "sta
 @settings(max_examples=80, deadline=None)
 @given(
     arch=st.sampled_from(sorted(_RECURRENT_CONFIGS)),
-    readout=st.sampled_from(["last", "mean"]),
     layers=st.integers(1, 3),
     hidden=st.sampled_from([1, 3, 4, 8, 17]),
     lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
@@ -369,19 +359,19 @@ _RECURRENT_CONFIGS = {a: kw for a, kw in _GRADCHECK_CONFIGS.items() if a != "sta
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    arch="attribute_specific_lstm", readout="mean", layers=2, hidden=17,
+    arch="attribute_specific_lstm", layers=2, hidden=17,
     lengths=[5, 1, 3], extra=2, negative_zero=True, seed=0,
 )
 @example(
-    arch="joint_lstm", readout="mean", layers=3, hidden=17,
+    arch="joint_lstm", layers=3, hidden=17,
     lengths=[1, 4, 4], extra=0, negative_zero=True, seed=1,
 )
 @example(
-    arch="gru_discretized", readout="mean", layers=2, hidden=17,
+    arch="gru_discretized", layers=2, hidden=17,
     lengths=[2, 1, 6], extra=3, negative_zero=False, seed=2,
 )
 def test_lockstep_inference_matches_caching_forward(
-    arch, readout, layers, hidden, lengths, extra, negative_zero, seed
+    arch, layers, hidden, lengths, extra, negative_zero, seed
 ):
     """Inference steps the layers together; its features and logits keep the bytes
     of the layer-by-layer caching forward (training=True on a dropout-0 copy),
@@ -389,12 +379,12 @@ def test_lockstep_inference_matches_caching_forward(
 
     negative_zero shuts the top LSTM layer's output gate (o = 0.0) over a
     negative cell state, so every top-layer state is -0.0. The features must
-    then carry the sign that the caching forward's formulas give: h_seq[-1]
-    for `last`, numpy's (h_seq * mask).sum(axis=0) for `mean`.
+    then carry the sign of the caching forward's h_seq[-1], through the
+    threaded blocks too.
     """
     rng = np.random.default_rng(seed)
     kw = dict(_RECURRENT_CONFIGS[arch], hidden=hidden)
-    cfg = _cfg(architecture=arch, readout=readout, layers=layers, dropout=0.3, **kw)
+    cfg = _cfg(architecture=arch, layers=layers, dropout=0.3, **kw)
     model = build(cfg, seed=seed % 1000)
     for p in model.params.values():
         p += 0.5 * rng.normal(size=p.shape)
@@ -424,9 +414,7 @@ def test_lockstep_inference_matches_caching_forward(
     assert feats[1].tobytes() == feats[0].tobytes()
     assert got.tobytes() == want.tobytes()
     if shut:
-        states = np.full((t,) + feats[0].shape, -0.0)
-        want_feats = states[-1] if readout == "last" else states.sum(axis=0)
-        assert feats[0].tobytes() == want_feats.tobytes()
+        assert feats[0].tobytes() == np.full(feats[0].shape, -0.0).tobytes()
 
 
 def test_inference_forward_holds_no_time_slab():
@@ -456,7 +444,6 @@ def test_inference_forward_holds_no_time_slab():
 @settings(max_examples=40, deadline=None)
 @given(
     scheme=st.sampled_from(["minmax", "minmax+perseq"]),
-    readout=st.sampled_from(["last", "mean"]),
     layers=st.integers(1, 3),
     hidden=st.sampled_from([1, 3, 8]),
     lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
@@ -465,11 +452,11 @@ def test_inference_forward_holds_no_time_slab():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    scheme="minmax+perseq", readout="mean", layers=2, hidden=3,
+    scheme="minmax+perseq", layers=2, hidden=3,
     lengths=[5, 1, 3], extra=2, negative_zero=True, seed=0,
 )
 def test_split_inference_keeps_width_1_bytes(
-    scheme, readout, layers, hidden, lengths, extra, negative_zero, seed
+    scheme, layers, hidden, lengths, extra, negative_zero, seed
 ):
     """Inference that splits the S = 3 or 6 attribute stacks into any number of
     blocks gives the FC inputs and logits of one block, byte for byte; up to
@@ -480,7 +467,7 @@ def test_split_inference_keeps_width_1_bytes(
     is checked too.
     """
     rng = np.random.default_rng(seed)
-    cfg = _cfg(scheme=scheme, readout=readout, layers=layers, hidden=hidden)
+    cfg = _cfg(scheme=scheme, layers=layers, hidden=hidden)
     model = build(cfg, seed=seed % 1000)
     for p in model.params.values():
         p += 0.5 * rng.normal(size=p.shape)
@@ -578,13 +565,12 @@ def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where
 @settings(max_examples=40, deadline=None)
 @given(
     arch=st.sampled_from(sorted(_GRADCHECK_CONFIGS)),
-    readout=st.sampled_from(["last", "mean"]),
     layers=st.integers(1, 2),
     lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
     extra=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_padding_never_changes_logits_property(arch, readout, layers, lengths, extra, seed):
+def test_padding_never_changes_logits_property(arch, layers, lengths, extra, seed):
     """Padded timesteps past the longest sequence never change a logit bit."""
     rng = np.random.default_rng(seed)
     seqs = [
@@ -596,7 +582,7 @@ def test_padding_never_changes_logits_property(arch, readout, layers, lengths, e
         for k, t in enumerate(lengths)
     ]
     ds = Dataset(seqs, 3)
-    cfg = _cfg(architecture=arch, readout=readout, layers=layers, **_GRADCHECK_CONFIGS[arch])
+    cfg = _cfg(architecture=arch, layers=layers, **_GRADCHECK_CONFIGS[arch])
     model = build(cfg, seed=seed % 1000)
     base = _batch(ds, cfg, fit_domain_stats(_tiny_dataset()))
     b, t_max, k = base.channels.shape
