@@ -15,14 +15,14 @@ Sections::
     sim.class.<i>.rf    constant v | hop dwell v1 v2 ...
     model.arch / model.norm / model.hidden / model.layers / model.dropout
     model.bins / model.embed / model.mlp_hidden / model.gru_use_rf
-    train.epochs / train.batch / train.lr / train.clip / train.shuffle / train.seed
+    train.epochs / train.batch / train.lr / train.clip / train.seed
     split.fraction / split.seed
     eval.fractions / eval.replicates
 
-Every key has a caller in a preset, a test or a script. Three things are
+Every key has a caller in a preset, a test or a script. Four things are
 not settings: the readout (each stack's state at its last valid pulse),
-early stopping (training runs all train.epochs) and Adam's betas and eps
-(0.9, 0.999, 1e-8).
+early stopping (training runs all train.epochs), Adam's betas and eps
+(0.9, 0.999, 1e-8) and the batch order (a fresh shuffle every epoch).
 """
 
 from __future__ import annotations
@@ -68,20 +68,24 @@ def _check_key(key: str) -> None:
 
 def load_config(path) -> dict[str, list[str]]:
     """Parse a config file into key -> value tokens."""
-    out: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            key, values = tokens[0], tokens[1:]
-            _check_key(key)
-            if not values:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = values
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    out: dict[str, list[str]] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        key, values = tokens[0], tokens[1:]
+        _check_key(key)
+        if not values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = values
     return out
 
 
@@ -150,7 +154,6 @@ _TRAIN_KEYS = {
     "train.batch": ("batch_size", _one(int)),
     "train.lr": ("learning_rate", _one(float)),
     "train.clip": ("clip_norm", _one(float)),
-    "train.shuffle": ("shuffle", _bool),
     "train.seed": ("seed", _one(int)),
 }
 

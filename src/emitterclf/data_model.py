@@ -196,7 +196,10 @@ def load_dataset(path) -> Dataset:
     degenerate inputs can be probed; lengths outside [1, 512] are errors.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from None
     if not lines or lines[0] != _FORMAT_HEADER:
         raise DatasetFormatError(f"{path}: missing '{_FORMAT_HEADER}' header line")
     if len(lines) < 2 or not lines[1].startswith("classes "):

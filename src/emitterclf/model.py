@@ -485,12 +485,13 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint, refusing one whose tensors do not fit its config.
+    """Read a checkpoint, refusing one that `evaluate` or a resume could not use.
 
     The tensors must carry exactly the names and shapes `build(config)`
     gives, plus `adam.m.<name>` and `adam.v.<name>` per parameter when
     optimizer state was saved, and the payload must hold exactly their
-    bytes. Every refusal is a ValueError naming the path.
+    bytes, all finite, and its domain stats (unless the scheme is `none`)
+    usable by normalization. Every refusal is a ValueError naming the path.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
@@ -508,6 +509,16 @@ def load_checkpoint(path) -> CheckpointData:
             raise ValueError(f"{path}: malformed data length line")
         declared = int(data_line[1])
         payload = fh.read()
+    if stats is None and cfg.scheme != "none":
+        raise ValueError(f"{path}: scheme {cfg.scheme!r} needs domain stats, the header has none")
+    if stats is not None:
+        for name, v in vars(stats).items():
+            if v.shape != (NUM_ATTRIBUTES,) or not np.isfinite(v).all():
+                raise ValueError(f"{path}: stats {name} must hold 3 finite values, got {v.tolist()}")
+        if np.any(stats.maxs <= stats.mins):
+            raise ValueError(f"{path}: stats maxs {stats.maxs.tolist()} must exceed its mins")
+        if np.any(stats.stds <= 0):
+            raise ValueError(f"{path}: stats stds {stats.stds.tolist()} must be > 0")
 
     expected = {n: t.shape for n, t in build(cfg, seed=0).params.items()}
     if header.get("adam_t") is not None:
@@ -541,6 +552,8 @@ def load_checkpoint(path) -> CheckpointData:
                 f"(payload has {len(payload)} of {declared} bytes)"
             )
         arr = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
         tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += 8 * size
     if len(payload) != offset:

@@ -16,7 +16,6 @@ from .layers import (
     init_fc,
     relu_backward,
     relu_forward,
-    sigmoid,
     softmax,
 )
 from .loss import median_frequency_weights, weighted_cross_entropy
@@ -31,7 +30,6 @@ from .recurrent import (
 )
 
 __all__ = [
-    "sigmoid",
     "softmax",
     "fc_forward",
     "fc_backward",

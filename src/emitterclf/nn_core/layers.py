@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "sigmoid",
     "softmax",
     "init_fc",
     "fc_forward",
@@ -20,11 +19,6 @@ __all__ = [
     "embedding_forward",
     "embedding_backward",
 ]
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form stays finite for arbitrarily large |x| (raw-unit inputs are huge)
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

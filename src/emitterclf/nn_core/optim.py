@@ -13,6 +13,8 @@ import numpy as np
 
 __all__ = ["Adam", "clip_gradients", "global_grad_norm"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     """Global L2 norm over every gradient tensor."""
@@ -34,37 +36,27 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 
 class Adam:
-    """Standard Adam with bias correction; epsilon added outside the sqrt."""
+    """Adam with bias correction, betas BETA1 and BETA2, and EPS added outside the sqrt."""
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for name, p in params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers under checkpoint-friendly names."""

@@ -64,13 +64,13 @@ threads: the groups never mix, and a stacked matmul is one product per
 group at the shape it has in the whole S, so a block's states are the bits
 of its groups in the whole S.
 
-Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1), the formula of
-`layers.sigmoid`. The sigmoid gates' columns of W, U and b are halved once
-per call, so their pre-activation comes out already halved and one tanh
-covers all four LSTM gates (the GRU's r and u; n needs r first). Halving is
-exact in binary floating point: it changes only the exponent, and rounding
-commutes with it. So x(W/2) + h(U/2) + b/2 equals (xW + hU + b)/2 bit for
-bit, barring subnormal underflow.
+Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1) never overflows,
+even for raw-unit inputs. The sigmoid gates' columns of W, U and b are
+halved once per call, so their pre-activation comes out already halved and
+one tanh covers all four LSTM gates (the GRU's r and u; n needs r first).
+Halving is exact in binary floating point: it changes only the exponent,
+and rounding commutes with it. So x(W/2) + h(U/2) + b/2 equals
+(xW + hU + b)/2 bit for bit, barring subnormal underflow.
 
 Rounding. The kernels return the same bits as the packed kernels they
 replaced, which tests/reference_recurrent.py keeps as the oracle.

@@ -75,7 +75,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     clip_norm: float = 5.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -116,7 +115,7 @@ def train(
     prior_losses: list[float] | None = None,
     on_epoch=None,
 ) -> TrainResult:
-    """Train with weighted cross-entropy, BPTT, clipping, and Adam (its default betas and eps).
+    """Train with weighted cross-entropy, BPTT, clipping, and Adam over shuffled mini-batches.
 
     Domain stats (unless passed in) and the median-frequency class weights
     are fitted on `train_ds` only. To resume, pass the checkpoint's stats,
@@ -141,10 +140,7 @@ def train(
     n = len(normalized)
     cache = None
     for epoch in range(len(losses), cfg.epochs):
-        if cfg.shuffle:
-            order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
-        else:
-            order = np.arange(n)
+        order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
         batch_losses = []
         for bi, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
@@ -380,7 +376,7 @@ def run_ablation(
     test_ds: Dataset,
     base_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    seeds: tuple[int, ...] = (0, 1, 2),
+    seeds: tuple[int, ...],
     jobs: int = 1,
     return_models: bool = False,
 ) -> GridResult:
@@ -401,7 +397,7 @@ def run_baselines(
     test_ds: Dataset,
     base_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    seeds: tuple[int, ...] = (0, 1, 2),
+    seeds: tuple[int, ...],
     jobs: int = 1,
     return_models: bool = False,
 ) -> GridResult:
@@ -416,8 +412,8 @@ def run_baselines(
 def noise_sweep(
     named_models: list[tuple[str, SequenceClassifier, DomainStats | None]],
     test_ds: Dataset,
-    fractions: tuple[float, ...] = DEFAULT_NOISE_FRACTIONS,
-    seed: int = 0,
+    fractions: tuple[float, ...],
+    seed: int,
 ) -> list[dict]:
     """Evaluate each model on noise-perturbed copies of the test set.
 

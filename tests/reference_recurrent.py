@@ -14,7 +14,7 @@ import numpy as np
 
 
 def sigmoid(x):
-    # as emitterclf.nn_core.layers.sigmoid
+    # the tanh form of the kernels (see the emitterclf.nn_core.recurrent docstring)
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 

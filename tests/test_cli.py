@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +483,61 @@ def test_eval_refuses_wrong_shape_tensor(tmp_path, capsys):
     assert "tensor 'lstm0.U' has shape (6, 3, 16), the config needs (6, 4, 16)" in err
 
 
+def _nan_weight(model, stats):
+    model.params["fc.W"][0, 0] = np.nan
+    return stats
+
+
+# fault -> (edit of the model and stats before saving, what the refusal names)
+_CHECKPOINT_FAULTS = {
+    "nan_weight": (_nan_weight, "tensor 'fc.W' holds a non-finite value"),
+    "no_stats": (lambda m, s: None, "scheme 'minmax+perseq' needs domain stats"),
+    "two_stats": (lambda m, s: replace(s, mins=s.mins[:2]), "stats mins must hold 3 finite values"),
+    "nan_min": (
+        lambda m, s: replace(s, mins=np.array([np.nan, *s.mins[1:]])),
+        "stats mins must hold 3 finite values",
+    ),
+    "max_not_above_min": (lambda m, s: replace(s, maxs=s.mins.copy()), "must exceed its mins"),
+    "zero_std": (lambda m, s: replace(s, stds=np.array([0.0, *s.stds[1:]])), "must be > 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-sweep", "train"])
+@pytest.mark.parametrize("fault", sorted(_CHECKPOINT_FAULTS))
+def test_checkpoint_that_inference_cannot_use_refused(tmp_path, capsys, command, fault):
+    """A checkpoint with a non-finite tensor, or domain stats that are missing
+    or unusable, is refused naming the file and the tensor or field."""
+    data, model, stats = _micro_inputs(tmp_path)
+    edit, named = _CHECKPOINT_FAULTS[fault]
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, edit(model, stats))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_checkpoint_args(command, ckpt, data, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "gen"])
+def test_non_utf8_input_refused_naming_the_file(tmp_path, capsys, command):
+    data, model, stats = _micro_inputs(tmp_path)
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"\xff" + (data.read_bytes() if command == "eval" else Path(MICRO).read_bytes()))
+    out = tmp_path / "out"
+    if command == "eval":
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, model, stats)
+        argv = _checkpoint_args("eval", ckpt, bad, out)
+    else:
+        argv = ["gen", "--config", str(bad), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert not out.exists()
+
+
 def test_eval_warns_when_data_is_the_training_set(tmp_path, capsys):
     """Same fingerprint as the checkpoint's training data: warn, exit 0, same outputs."""
     data, model, stats = _micro_inputs(tmp_path)
@@ -590,7 +646,7 @@ def test_resume_equals_uninterrupted_run_property(
 
 _KEYS = [f"model.{k}" for k in "arch norm hidden layers dropout bins embed mlp_hidden".split()]
 _KEYS += ["model.gru_use_rf"]
-_KEYS += [f"train.{k}" for k in "epochs batch lr clip shuffle seed".split()]
+_KEYS += [f"train.{k}" for k in "epochs batch lr clip seed".split()]
 
 
 @given(
@@ -614,6 +670,7 @@ _REMOVED_KEYS = [
     "train.beta1=0.9",
     "train.beta2=0.999",
     "train.eps=1e-8",
+    "train.shuffle=false",
 ]
 
 
@@ -630,8 +687,9 @@ _REMOVED_KEYS = [
     ids=[item.split("=")[0] for item in _REMOVED_KEYS] + ["--from-dataset", "--noise"],
 )
 def test_removed_settings_are_refused(tmp_path, capsys, micro_data, argv, named):
-    """The readout choice, early stopping, Adam's betas and eps and gen's
-    noisy-copy mode are gone: naming one is refused, not ignored."""
+    """The readout choice, early stopping, Adam's betas and eps, the
+    unshuffled batch order and gen's noisy-copy mode are gone: naming one is
+    refused, not ignored."""
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([a.format(data=micro_data, out=out) for a in argv]) == 1

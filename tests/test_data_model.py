@@ -143,6 +143,13 @@ def test_load_rejects_malformed_records(tmp_path, record, match):
             load_dataset(path)
 
 
+def test_load_refuses_non_utf8_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff# emitter-dataset v1\nclasses 2\n")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        load_dataset(path)
+
+
 def test_load_nan_rf_identifies_record_and_field(tmp_path):
     path = tmp_path / "nanrf.txt"
     path.write_text(

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -652,7 +654,7 @@ def test_checkpoint_round_trip(tmp_path, small_dataset):
     cfg = _cfg(hidden=5)
     stats = fit_domain_stats(small_dataset)
     model = build(cfg, seed=11)
-    opt = Adam(model.params)
+    opt = Adam(model.params, 1e-3)
     opt.step(model.params, {k: np.full_like(v, 0.01) for k, v in model.params.items()})
     meta = {"epochs_run": 1, "epoch_losses": [2.5]}
     path = tmp_path / "model.ckpt"
@@ -676,6 +678,32 @@ def test_checkpoint_write_is_deterministic(tmp_path, small_dataset):
     save_checkpoint(a, model, stats, {"k": 1})
     save_checkpoint(b, model, stats, {"k": 1})
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "tensors,data_line,extra,match",
+    [
+        (None, b"data twelve", b"", "malformed data length line"),
+        (lambda ts: ts + ts[:1], None, b"", "duplicate tensor names in the header"),
+        (lambda ts: ts + [{"name": "x", "shape": [1]}], None, b"", "unexpected tensor 'x'"),
+        (lambda ts: ts[1:], None, b"", "missing tensor 'fc.W'"),
+        (None, b"data 8", b"", "data line declares 8 bytes, the tensors need"),
+        (None, None, b"\0" * 8, "8 bytes after the last tensor"),
+    ],
+    ids=["data_line", "duplicate", "unexpected", "missing", "declared_bytes", "trailing_bytes"],
+)
+def test_checkpoint_layout_refusals(tmp_path, small_dataset, tensors, data_line, extra, match):
+    """A header whose tensor list, data line or payload disagree is refused naming the file."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build(_cfg(), seed=0), fit_domain_stats(small_dataset))
+    magic, header, data, payload = path.read_bytes().split(b"\n", 3)
+    fields = json.loads(header)
+    if tensors is not None:
+        fields["tensors"] = tensors(fields["tensors"])
+    header = json.dumps(fields, sort_keys=True).encode()
+    path.write_bytes(b"\n".join([magic, header, data_line or data, payload + extra]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
