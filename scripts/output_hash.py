@@ -8,9 +8,11 @@ the confusion matrix `evaluate` reports, then one cumulative sha256 of
 those. A last line hashes the 4 confusion matrices again, from `evaluate`
 at batch_size=2: the micro test split's 6 sequences then take 3 batches,
 whose predictions must go back to their own sequences. Before all that it
-prints a sha256 of the serialized dataset (the text `save_dataset`
-writes) that each of the micro, paperlike_small and paperlike presets
-generates at its config seed. Run it at two commits and compare the lines:
+prints, for each of the micro, paperlike_small and paperlike presets, a
+sha256 of the serialized dataset (the text `save_dataset` writes) that the
+preset generates at its config seed, and a sha256 of the bits of the
+domain stats that `fit_domain_stats` fits on that dataset's train split.
+Run it at two commits and compare the lines:
 
     python scripts/output_hash.py [--hidden 4] [--dropout 0.0]
 """
@@ -29,7 +31,7 @@ sys.path.insert(0, str(REPO / "src"))
 from emitterclf import config as cfgmod  # noqa: E402
 from emitterclf.data_model import serialize_dataset, split_dataset  # noqa: E402
 from emitterclf.model import ARCHITECTURES, build, forward  # noqa: E402
-from emitterclf.normalize import build_batch, normalize_scheme  # noqa: E402
+from emitterclf.normalize import build_batch, fit_domain_stats, normalize_scheme  # noqa: E402
 from emitterclf.pulse_sim import generate_dataset  # noqa: E402
 from emitterclf.train_eval import evaluate, train  # noqa: E402
 
@@ -54,8 +56,11 @@ def main() -> None:
     ap.add_argument("--dropout", type=float, default=0.0)
     args = ap.parse_args()
     for preset in ("micro", "paperlike_small", "paperlike"):
-        ds = generate_dataset(cfgmod.sim_config(cfgmod.load_config(REPO / "configs" / f"{preset}.cfg")))
+        preset_cfg = cfgmod.load_config(REPO / "configs" / f"{preset}.cfg")
+        ds = generate_dataset(cfgmod.sim_config(preset_cfg))
         print("dataset", preset, hashlib.sha256(serialize_dataset(ds).encode()).hexdigest())
+        stats = fit_domain_stats(split_dataset(ds, *cfgmod.split_params(preset_cfg))[0])
+        print("stats", preset, _sha(stats.mins, stats.maxs, stats.means, stats.stds))
     cfg = cfgmod.load_config(REPO / "configs" / "micro.cfg")
     train_ds, test_ds = split_dataset(
         generate_dataset(cfgmod.sim_config(cfg)), *cfgmod.split_params(cfg)

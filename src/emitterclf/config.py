@@ -61,9 +61,10 @@ _KEY_PATTERNS = tuple(
 )
 
 
-def _check_key(key: str) -> None:
+def _check_key(key: str, where: str) -> None:
+    """Refuse a key outside the schema, naming where it was set."""
     if key not in _MODEL_KEYS | _TRAIN_KEYS and not any(p.match(key) for p in _KEY_PATTERNS):
-        raise ConfigError(f"unknown config key {key!r}")
+        raise ConfigError(f"{where}: unknown config key {key!r}")
 
 
 def load_config(path) -> dict[str, list[str]]:
@@ -80,7 +81,7 @@ def load_config(path) -> dict[str, list[str]]:
             continue
         tokens = line.split()
         key, values = tokens[0], tokens[1:]
-        _check_key(key)
+        _check_key(key, f"{path}:{lineno}")
         if not values:
             raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
         if key in out:
@@ -90,16 +91,16 @@ def load_config(path) -> dict[str, list[str]]:
 
 
 def apply_overrides(cfg: dict[str, list[str]], overrides: list[str]) -> dict[str, list[str]]:
-    """Apply `key=value[,value...]` overrides on top of a parsed config."""
+    """Apply `--set key=value[,value...]` overrides on top of a parsed config."""
     out = dict(cfg)
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
+            raise ConfigError(f"--set: override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
-        _check_key(key)
+        _check_key(key, "--set")
         tokens = [t for t in value.split(",") if t]
         if not tokens:
-            raise ConfigError(f"override {key!r} has no value")
+            raise ConfigError(f"--set: override {key!r} has no value")
         out[key] = tokens
     return out
 

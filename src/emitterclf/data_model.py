@@ -59,19 +59,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _validate_values(values: np.ndarray, *, where: str = "sequence") -> None:
+def _validate_values(values: np.ndarray) -> None:
     if values.ndim != 2 or values.shape[1] != NUM_ATTRIBUTES:
-        raise ValueError(f"{where}: expected a (T, {NUM_ATTRIBUTES}) array, got {values.shape}")
+        raise ValueError(f"sequence: expected a (T, {NUM_ATTRIBUTES}) array, got {values.shape}")
     if not np.all(np.isfinite(values)):
         t, j = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"{where}: non-finite {ATTRIBUTES[j]} at pulse {t}")
+        raise ValueError(f"sequence: non-finite {ATTRIBUTES[j]} at pulse {t}")
     if not np.all(values > 0.0):
         t, j = np.argwhere(values <= 0.0)[0]
-        raise ValueError(f"{where}: non-positive {ATTRIBUTES[j]} at pulse {t}")
+        raise ValueError(f"sequence: non-positive {ATTRIBUTES[j]} at pulse {t}")
     bad = values[:, 1] >= values[:, 0]
     if np.any(bad):
         t = int(np.argmax(bad))
-        raise ValueError(f"{where}: pw >= pri at pulse {t}")
+        raise ValueError(f"sequence: pw >= pri at pulse {t}")
 
 
 class PulseSequence:

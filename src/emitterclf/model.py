@@ -275,28 +275,34 @@ def _lockstep(steps, layers, x, lengths):
     parameter slices [lo:hi], so layer l's state at t is layer l+1's input
     at t, and keeps its top layer's final state: with the carried state,
     that is each sequence's state at its last valid step. The calling
-    thread runs the first block and worker threads the others; they share
-    only read-only inputs, and the readout has the bits of width 1 (see
-    `forward`).
+    thread builds every chain and takes its step 0, which allocates the
+    generators' stores from the calling thread's heap, not from a worker's
+    malloc arena that outlives the call. Then it drains the first chain and
+    worker threads the others; they share only read-only inputs, and the
+    readout has the bits of width 1 (see `forward`).
     """
     T, S, B, _ = x.shape
     active, _ = active_rows(lengths, T, B)
     width = _split_width(S)  # 1 for the single-stack architectures
 
-    def block(lo, hi):
+    def chain(lo, hi):
         states = iter(x[:, lo:hi])
         for params in layers:
             states = steps(*(a[lo:hi] for a in params), states, active, None)
+        return states, next(states)
+
+    def drain(states, last):
         for last in states:
             pass
         return last
 
-    if width == 1:
-        return block(0, S)
     bounds = [(S * k // width, S * (k + 1) // width) for k in range(width)]
+    chains = [chain(lo, hi) for lo, hi in bounds]
+    if width == 1:
+        return drain(*chains[0])
     with ThreadPoolExecutor(width - 1) as pool:
-        others = [pool.submit(block, lo, hi) for lo, hi in bounds[1:]]
-        parts = [block(*bounds[0])] + [f.result() for f in others]
+        others = [pool.submit(drain, *c) for c in chains[1:]]
+        parts = [drain(*chains[0])] + [f.result() for f in others]
     return np.concatenate(parts)
 
 

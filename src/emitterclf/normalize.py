@@ -66,26 +66,75 @@ class DomainStats:
         )
 
 
+_RUN_PULSES = 1 << 15  # pulses per block of fit_domain_stats' passes
+
+
+def _pulse_runs(sequences):
+    """Consecutive runs of the sequences' (T, 3) values, about _RUN_PULSES pulses per run."""
+    run, pulses = [], 0
+    for seq in sequences:
+        run.append(seq.values)
+        pulses += seq.length
+        if pulses >= _RUN_PULSES:
+            yield run
+            run, pulses = [], 0
+    if run:
+        yield run
+
+
+def _block(total, run) -> tuple[np.ndarray, np.ndarray]:
+    """One (1 + k, 3) array: the running sum's row, then the run's k pulses.
+
+    With no running sum yet (total None) the block is the pulses alone.
+    Returns the block and its pulse rows.
+    """
+    head = 0 if total is None else 1
+    block = np.empty((head + sum(len(v) for v in run), NUM_ATTRIBUTES))
+    if head:
+        block[0] = total
+    np.concatenate(run, out=block[head:])
+    return block, block[head:]
+
+
 def fit_domain_stats(train: Dataset) -> DomainStats:
-    """Exact per-attribute min/max/mean/std over all training pulses."""
+    """Exact per-attribute min/max/mean/std over all training pulses.
+
+    The pulses are never gathered into one (N, 3) array: two passes walk the
+    sequences in order, in runs of about _RUN_PULSES pulses. The first takes
+    each run's min, max and column sum, the second the sum of its squared
+    deviations from the mean; std is sqrt(that sum / N), as numpy's is. The
+    bits are those of stacked.mean(axis=0) and stacked.std(axis=0) on the
+    concatenated pulses: numpy's axis-0 sum of a C-contiguous (N, 3) array
+    adds one row at a time, first to last, so summing a block whose first
+    row is the running sum of the earlier runs makes the same additions in
+    the same order. Min and max are exact in any order.
+    """
     if train.n == 0:
         raise ValueError("cannot fit domain stats on an empty dataset")
-    stacked = np.concatenate([s.values for s in train.sequences], axis=0)
-    columns = np.ascontiguousarray(stacked.T)  # contiguous rows reduce faster than strided columns
-    mins = columns.min(axis=1)
-    maxs = columns.max(axis=1)
-    del columns  # before std's (N, 3) temporary, so the peak holds two copies of the pulses, not three
+    runs = list(_pulse_runs(train.sequences))
+    mins = np.full(NUM_ATTRIBUTES, np.inf)
+    maxs = np.full(NUM_ATTRIBUTES, -np.inf)
+    total = None
+    for run in runs:
+        block, pulses = _block(total, run)
+        columns = np.ascontiguousarray(pulses.T)  # contiguous rows reduce faster than columns
+        np.minimum(mins, columns.min(axis=1), out=mins)
+        np.maximum(maxs, columns.max(axis=1), out=maxs)
+        total = block.sum(axis=0)
     for j in range(NUM_ATTRIBUTES):
         if mins[j] == maxs[j]:
             raise ValueError(
                 f"attribute {ATTRIBUTES[j]} is constant across the dataset (min == max)"
             )
-    return DomainStats(  # mean and std keep the (N, 3) reduction: checkpoints store their bits
-        mins=mins,
-        maxs=maxs,
-        means=stacked.mean(axis=0),
-        stds=stacked.std(axis=0),
-    )
+    count = sum(seq.length for seq in train.sequences)
+    means = total / count
+    squares = None
+    for run in runs:
+        block, pulses = _block(squares, run)
+        pulses -= means
+        np.multiply(pulses, pulses, out=pulses)
+        squares = block.sum(axis=0)
+    return DomainStats(mins=mins, maxs=maxs, means=means, stds=np.sqrt(squares / count))
 
 
 def minmax_normalize(seq: PulseSequence, stats: DomainStats) -> np.ndarray:
@@ -126,7 +175,7 @@ def discretize_normalize(seq: PulseSequence, stats: DomainStats, bins: int) -> n
     return np.clip(np.floor(scaled), 0, bins - 1).astype(np.int64)
 
 
-def scheme_channel_count(scheme: str, num_attributes: int = NUM_ATTRIBUTES) -> int:
+def scheme_channel_count(scheme: str, num_attributes: int) -> int:
     if scheme == "minmax+perseq":
         return 2 * num_attributes
     if scheme in ("none", "minmax", "standardize", "discretize"):
@@ -152,7 +201,7 @@ def normalize_scheme(
     seq: PulseSequence,
     stats: DomainStats | None,
     scheme: str,
-    bins: int = DEFAULT_BINS,
+    bins: int,
 ) -> NormalizedSequence:
     """Apply the named scheme and return the channel matrix for one sequence."""
     if scheme == "none":

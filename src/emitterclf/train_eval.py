@@ -243,8 +243,11 @@ def evaluate(
     forward(training=False) applies no dropout, keeps no backward cache and
     steps the recurrent layers together, holding no (T, S, B, H) slab, with
     the proposed model's stacks split over the usable CPUs: on `paperlike`
-    (T up to 512) the proposed model adds about 21 MB to peak RSS at batch
-    256 (20 MB in one block).
+    (T up to 512) forward over the 256 longest test sequences peaks at
+    about 31 MB traced, in one block or two: two copies of the (B, T, 6)
+    input (12 MB), the two layers' step stores of B rows (13.5 MB) and
+    per-step temporaries. The whole call peaks at about 43 MB traced and
+    raises peak RSS from the 52 MB held before it to about 97 MB.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from emitterclf.cli import main
 from emitterclf.config import (
     ConfigError,
     apply_overrides,
@@ -10,7 +11,8 @@ from emitterclf.config import (
     sim_config,
 )
 
-MICRO = (Path(__file__).resolve().parent.parent / "configs" / "micro.cfg").read_text()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MICRO = (CONFIGS / "micro.cfg").read_text()
 
 
 def _sim(path):
@@ -61,3 +63,21 @@ def test_non_utf8_config_refused_naming_the_file(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
+def test_unknown_key_in_a_file_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text(MICRO + "train.shufle true\n")
+    out = tmp_path / "micro.ds"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 1
+    line = len(MICRO.splitlines()) + 1
+    assert f"{path}:{line}: unknown config key 'train.shufle'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_set_key_names_set(tmp_path, capsys):
+    out = tmp_path / "micro.ds"
+    argv = ["gen", "--config", str(CONFIGS / "micro.cfg"), "--out", str(out)]
+    assert main(argv + ["--set", "train.shufle=1"]) == 1
+    assert "--set: unknown config key 'train.shufle'" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emitterclf.model as model_module
+import emitterclf.nn_core.recurrent as recurrent_module
 from emitterclf.data_model import Dataset, PulseSequence
 from emitterclf.model import (
     ModelConfig,
@@ -542,18 +543,47 @@ def test_only_the_attribute_stacks_start_threads(small_dataset, monkeypatch, arc
     assert 1 <= len(starts) <= 3 if arch == "attribute_specific_lstm" else not starts
 
 
+def test_inference_stores_come_from_the_calling_thread(small_dataset, monkeypatch):
+    """At width 2 the worker thread steps its block on stores that the calling
+    thread allocated: a worker's malloc arena would keep them after the call."""
+    monkeypatch.setattr(model_module, "_split_width", lambda groups: 2)
+    threads = []
+    real_reuse = recurrent_module.reuse
+
+    def reuse(*args):
+        threads.append(threading.get_ident())
+        return real_reuse(*args)
+
+    monkeypatch.setattr(recurrent_module, "reuse", reuse)
+    stepped = set()
+    real_steps = model_module.lstm_steps
+
+    def steps(*args):
+        for state in real_steps(*args):
+            stepped.add(threading.get_ident())
+            yield state
+
+    monkeypatch.setattr(model_module, "lstm_steps", steps)
+    cfg = _cfg()
+    forward(build(cfg, seed=4), _batch(small_dataset, cfg, fit_domain_stats(small_dataset)))
+    assert len(stepped) == 2  # a worker thread did step a block
+    assert threads and set(threads) == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where):
-    """An exception in any block's steps is raised from forward, and every
-    worker thread has ended by then."""
+    """An exception in a step that any thread takes is raised from forward,
+    and every worker thread has ended by then. The calling thread takes every
+    block's step 0, the workers the later steps of theirs."""
     monkeypatch.setattr(model_module, "_split_width", lambda groups: 3)
     caller = threading.get_ident()
     real_steps = model_module.lstm_steps
 
     def steps(*args):
-        if (threading.get_ident() == caller) == (where == "caller"):
-            raise RuntimeError(f"{where} block failed")
-        return real_steps(*args)
+        for state in real_steps(*args):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise RuntimeError(f"{where} block failed")
+            yield state
 
     monkeypatch.setattr(model_module, "lstm_steps", steps)
     cfg = _cfg()
@@ -627,8 +657,8 @@ def test_stats_mlp_is_order_invariant(small_dataset):
     model = build(cfg, seed=9)
     seq = small_dataset.sequences[1]
     shuffled = PulseSequence(derive_rng(1).permutation(seq.values, axis=0), seq.label)
-    a, _ = forward(model, build_batch([normalize_scheme(seq, stats, "minmax")]))
-    b, _ = forward(model, build_batch([normalize_scheme(shuffled, stats, "minmax")]))
+    a, _ = forward(model, build_batch([normalize_scheme(seq, stats, "minmax", cfg.bins)]))
+    b, _ = forward(model, build_batch([normalize_scheme(shuffled, stats, "minmax", cfg.bins)]))
     assert np.allclose(a, b, atol=1e-12)
 
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitterclf.data_model import Dataset, PulseSequence
+from emitterclf.data_model import MIN_SEQ_LEN, Dataset, PulseSequence
 from emitterclf.normalize import (
+    DEFAULT_BINS,
     DomainStats,
     build_batch,
     discretize_normalize,
@@ -47,6 +50,58 @@ def test_fit_domain_stats_brute_force_oracle(small_dataset):
         assert stats.means[j] == pytest.approx(sum(col) / len(col), rel=1e-12)
         var = sum((v - stats.means[j]) ** 2 for v in col) / len(col)
         assert stats.stds[j] == pytest.approx(var**0.5, rel=1e-12)
+
+
+def _concatenated_stats(train):
+    """The one-array formula that fit_domain_stats streams: the oracle for its bits."""
+    stacked = np.concatenate([s.values for s in train.sequences], axis=0)
+    return stacked.min(axis=0), stacked.max(axis=0), stacked.mean(axis=0), stacked.std(axis=0)
+
+
+def _valid_train_set(seed, n, max_len):
+    """n valid sequences of 7..max_len pulses whose attributes span several decades."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for k in range(n):
+        t = int(rng.integers(MIN_SEQ_LEN, max_len + 1))
+        pri = 10.0 ** rng.uniform(1, 5, t)
+        pw = pri * rng.uniform(0.001, 0.9, t)
+        rf = 10.0 ** rng.uniform(2, 4.5, t)
+        seqs.append(PulseSequence(np.stack([pri, pw, rf], axis=1), k % 3))
+    return Dataset(seqs, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(400, 600), max_len=st.integers(300, 512))
+def test_streamed_stats_are_the_bits_of_the_concatenated_formula(seed, n, max_len):
+    """fit_domain_stats walks the pulses in runs of about 2**15 and never
+    builds the (N, 3) array, yet returns the bits of numpy's reductions over
+    it. These train sets hold about 60 000 to 156 000 pulses, two to five runs."""
+    train = _valid_train_set(seed, n, max_len)
+    stats = fit_domain_stats(train)
+    got = (stats.mins, stats.maxs, stats.means, stats.stds)
+    for a, b in zip(got, _concatenated_stats(train)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fit_domain_stats_holds_no_copy_of_the_pulses():
+    """Fitting 409 600 pulses (9.8 MB of values) peaks below 4 MB traced: the
+    pulses are reduced run by run, not gathered into one (N, 3) array and
+    its transposed copy (about 19.7 MB)."""
+    rng = np.random.default_rng(5)
+    seqs = []
+    for k in range(800):
+        pri = rng.uniform(100.0, 1000.0, 512)
+        values = np.stack([pri, 0.5 * pri, rng.uniform(1e3, 1e4, 512)], axis=1)
+        seqs.append(PulseSequence(values, k % 2))
+    train = Dataset(seqs, 2)
+    tracemalloc.start()
+    try:
+        fit_domain_stats(train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_fit_domain_stats_rejects_constant_attribute():
@@ -162,20 +217,21 @@ def test_discretize_boundaries():
 
 
 def test_scheme_channel_counts():
-    assert scheme_channel_count("none") == 3
-    assert scheme_channel_count("minmax") == 3
-    assert scheme_channel_count("minmax+perseq") == 6
-    assert scheme_channel_count("standardize") == 3
-    assert scheme_channel_count("discretize") == 3
+    assert scheme_channel_count("none", 3) == 3
+    assert scheme_channel_count("minmax", 3) == 3
+    assert scheme_channel_count("minmax+perseq", 3) == 6
+    assert scheme_channel_count("minmax+perseq", 2) == 4
+    assert scheme_channel_count("standardize", 3) == 3
+    assert scheme_channel_count("discretize", 3) == 3
     with pytest.raises(ValueError):
-        scheme_channel_count("bogus")
+        scheme_channel_count("bogus", 3)
 
 
 def test_normalize_scheme_layout_contract(small_dataset):
     """minmax+perseq: columns 0-2 are min-max, 3-5 per-sequence, (pri, pw, rf)."""
     stats = fit_domain_stats(small_dataset)
     seq = small_dataset.sequences[0]
-    ns = normalize_scheme(seq, stats, "minmax+perseq")
+    ns = normalize_scheme(seq, stats, "minmax+perseq", DEFAULT_BINS)
     assert ns.channels.shape == (seq.length, 6)
     assert np.array_equal(ns.channels[:, :3], minmax_normalize(seq, stats))
     assert np.array_equal(ns.channels[:, 3:], per_sequence_normalize(seq))
@@ -184,26 +240,28 @@ def test_normalize_scheme_layout_contract(small_dataset):
 
 def test_normalize_scheme_none_is_identity(small_dataset):
     seq = small_dataset.sequences[2]
-    ns = normalize_scheme(seq, None, "none")
+    ns = normalize_scheme(seq, None, "none", DEFAULT_BINS)
     assert np.array_equal(ns.channels, seq.values)
 
 
 def test_normalize_scheme_unknown_token(small_dataset):
     stats = fit_domain_stats(small_dataset)
     with pytest.raises(ValueError, match="unknown"):
-        normalize_scheme(small_dataset.sequences[0], stats, "zscore")
+        normalize_scheme(small_dataset.sequences[0], stats, "zscore", DEFAULT_BINS)
 
 
 def test_dual_scheme_shape_seven_by_six():
     seq = make_sequence([100.0, 110.0, 120.0, 130.0, 140.0, 150.0, 160.0], 1.0, 9000.0)
     stats = _stats([90.0, 0.5, 8000.0], [200.0, 2.0, 9500.0])
-    ns = normalize_scheme(seq, stats, "minmax+perseq")
+    ns = normalize_scheme(seq, stats, "minmax+perseq", DEFAULT_BINS)
     assert ns.channels.shape == (7, 6)
 
 
 def test_build_batch_padding_and_mask(small_dataset):
     stats = fit_domain_stats(small_dataset)
-    normalized = [normalize_scheme(s, stats, "minmax") for s in small_dataset.sequences[:3]]
+    normalized = [
+        normalize_scheme(s, stats, "minmax", DEFAULT_BINS) for s in small_dataset.sequences[:3]
+    ]
     batch = build_batch(normalized)
     t_max = max(ns.valid_length for ns in normalized)
     assert batch.channels.shape == (3, t_max, 3)
