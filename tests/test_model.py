@@ -572,16 +572,20 @@ def test_inference_stores_come_from_the_calling_thread(small_dataset, monkeypatc
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where):
-    """An exception in a step that any thread takes is raised from forward,
-    and every worker thread has ended by then. The calling thread takes every
-    block's step 0, the workers the later steps of theirs."""
+    """An exception in a step that any thread takes while the worker threads
+    run is raised from forward, and every worker thread has ended by then.
+    The calling thread takes every block's step 0 before the pool starts, so
+    the failure comes at a later step: in the caller's own block or in a
+    worker's."""
     monkeypatch.setattr(model_module, "_split_width", lambda groups: 3)
     caller = threading.get_ident()
     real_steps = model_module.lstm_steps
+    alive = []
 
     def steps(*args):
-        for state in real_steps(*args):
-            if (threading.get_ident() == caller) == (where == "caller"):
+        for k, state in enumerate(real_steps(*args)):
+            if k and (threading.get_ident() == caller) == (where == "caller"):
+                alive.append(threading.active_count())
                 raise RuntimeError(f"{where} block failed")
             yield state
 
@@ -591,6 +595,7 @@ def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{where} block failed"):
         forward(build(cfg, seed=4), batch)
+    assert alive and alive[0] > threads  # a worker thread was running
     assert threading.active_count() == threads
 
 
