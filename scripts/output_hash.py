@@ -10,8 +10,10 @@ at batch_size=2: the micro test split's 6 sequences then take 3 batches,
 whose predictions must go back to their own sequences. Before all that it
 prints, for each of the micro, paperlike_small and paperlike presets, a
 sha256 of the serialized dataset (the text `save_dataset` writes) that the
-preset generates at its config seed, and a sha256 of the bits of the
-domain stats that `fit_domain_stats` fits on that dataset's train split.
+preset generates at its config seed, the same sha256 after a
+`save_dataset`/`load_dataset` round trip of that dataset, and a sha256 of
+the bits of the domain stats that `fit_domain_stats` fits on that
+dataset's train split.
 Run it at two commits and compare the lines:
 
     python scripts/output_hash.py [--hidden 4] [--dropout 0.0]
@@ -21,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,12 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from emitterclf import config as cfgmod  # noqa: E402
-from emitterclf.data_model import serialize_dataset, split_dataset  # noqa: E402
+from emitterclf.data_model import (  # noqa: E402
+    load_dataset,
+    save_dataset,
+    serialize_dataset,
+    split_dataset,
+)
 from emitterclf.model import ARCHITECTURES, build, forward  # noqa: E402
 from emitterclf.normalize import build_batch, fit_domain_stats, normalize_scheme  # noqa: E402
 from emitterclf.pulse_sim import generate_dataset  # noqa: E402
@@ -59,6 +67,10 @@ def main() -> None:
         preset_cfg = cfgmod.load_config(REPO / "configs" / f"{preset}.cfg")
         ds = generate_dataset(cfgmod.sim_config(preset_cfg))
         print("dataset", preset, hashlib.sha256(serialize_dataset(ds).encode()).hexdigest())
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, Path(tmp) / "ds.txt")
+            loaded = load_dataset(Path(tmp) / "ds.txt")
+        print("loaded", preset, hashlib.sha256(serialize_dataset(loaded).encode()).hexdigest())
         stats = fit_domain_stats(split_dataset(ds, *cfgmod.split_params(preset_cfg))[0])
         print("stats", preset, _sha(stats.mins, stats.maxs, stats.means, stats.stds))
     cfg = cfgmod.load_config(REPO / "configs" / "micro.cfg")

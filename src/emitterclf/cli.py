@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from dataclasses import replace
@@ -111,7 +112,11 @@ def cmd_train(args) -> int:
         ck = _load_checkpoint_for(args.resume, train_ds)
         if ck.opt_tensors is None or ck.adam_t is None:
             raise ValueError(f"{args.resume}: checkpoint carries no optimizer state to resume")
-        model, stats, prior = ck.model, ck.stats, list(ck.meta.get("epoch_losses", []))
+        model, stats, prior = ck.model, ck.stats, ck.meta.get("epoch_losses", [])
+        if not isinstance(prior, list) or not all(
+            type(v) in (int, float) and math.isfinite(v) for v in prior  # true is no number
+        ):
+            raise ValueError(f"{args.resume}: meta.epoch_losses must be a list of finite numbers")
         optimizer = Adam(model.params, train_cfg.learning_rate)
         optimizer.load_state(ck.opt_tensors, ck.adam_t)
     else:

@@ -16,6 +16,12 @@ Dataset file format (UTF-8 text, one value row per pulse)::
 
 Floats are serialized with 17 significant digits so load(save(ds)) is
 bit-exact.
+
+One pulse rule holds for every value: finite, > 0, and pw < pri at each
+pulse (`_validate_values`). `PulseSequence` applies it unless built with
+check=False, `load_dataset` applies it to each record it parses, and
+`save_dataset` to each sequence before it writes, so no file that `gen`
+writes is one that `load_dataset` refuses.
 """
 
 from __future__ import annotations
@@ -60,18 +66,18 @@ def _fmt(x: float) -> str:
 
 
 def _validate_values(values: np.ndarray) -> None:
+    """The pulse rule on a (T, 3) array: finite values > 0, pw < pri; refusals name field and pulse."""
     if values.ndim != 2 or values.shape[1] != NUM_ATTRIBUTES:
-        raise ValueError(f"sequence: expected a (T, {NUM_ATTRIBUTES}) array, got {values.shape}")
+        raise ValueError(f"expected a (T, {NUM_ATTRIBUTES}) array, got {values.shape}")
     if not np.all(np.isfinite(values)):
         t, j = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"sequence: non-finite {ATTRIBUTES[j]} at pulse {t}")
+        raise ValueError(f"field {ATTRIBUTES[j]}: non-finite {ATTRIBUTES[j]} at pulse {t}")
     if not np.all(values > 0.0):
         t, j = np.argwhere(values <= 0.0)[0]
-        raise ValueError(f"sequence: non-positive {ATTRIBUTES[j]} at pulse {t}")
+        raise ValueError(f"field {ATTRIBUTES[j]}: non-positive {ATTRIBUTES[j]} at pulse {t}")
     bad = values[:, 1] >= values[:, 0]
     if np.any(bad):
-        t = int(np.argmax(bad))
-        raise ValueError(f"sequence: pw >= pri at pulse {t}")
+        raise ValueError(f"field pw: pw >= pri at pulse {int(np.argmax(bad))}")
 
 
 class PulseSequence:
@@ -172,21 +178,26 @@ def dataset_fingerprint(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write `ds` in the line-oriented text format; byte-deterministic."""
+    """Write `ds` in the line-oriented text format; byte-deterministic.
+
+    A sequence that breaks the pulse rule is refused before the file is
+    opened, naming its record (from 1, as the loader counts), field and pulse.
+    """
+    for record, seq in enumerate(ds.sequences, start=1):
+        try:
+            _validate_values(seq.values)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: not written: record {record}: {exc}") from None
+    text = serialize_dataset(ds)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_dataset(ds))
+        fh.write(text)
 
 
 def _parse_float(token: str, record: int, field: str) -> float:
     try:
-        v = float(token)
+        return float(token)
     except ValueError:
         raise DatasetFormatError(f"record {record}: field {field}: not a number: {token!r}")
-    if not math.isfinite(v):
-        raise DatasetFormatError(f"record {record}: field {field}: non-finite value {token!r}")
-    if v <= 0.0:
-        raise DatasetFormatError(f"record {record}: field {field}: must be > 0, got {token!r}")
-    return v
 
 
 def load_dataset(path) -> Dataset:
@@ -259,8 +270,10 @@ def _parse_records(lines: list[str], num_classes: int) -> list[PulseSequence]:
                 )
             for j, name in enumerate(ATTRIBUTES):
                 values[t, j] = _parse_float(row[j], record, name)
-            if values[t, 1] >= values[t, 0]:
-                raise DatasetFormatError(f"record {record}: pulse {t}: pw >= pri")
+        try:
+            _validate_values(values)
+        except ValueError as exc:
+            raise DatasetFormatError(f"record {record}: {exc}") from None
         sequences.append(PulseSequence(values, label, check=False))
         i += 1 + length
     return sequences

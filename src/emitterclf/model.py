@@ -12,13 +12,14 @@ Four architectures share one interface:
 * ``stats_mlp``: an MLP over per-channel sequence minima and maxima
   (order-invariant summary features).
 
-The three recurrent architectures run one stacked-layer loop. Rows are
-sorted by valid length, an input adapter turns the (B, T, K) channels into
-the layer-0 kernel input (T, S, B, Din), the L layers run (with training,
-one after another with dropout between them; in inference, together per
-timestep), and the readout takes the top layer's final state back to the
-original row order. The state is carried over padded steps, so that is
-each sequence's state at its last valid timestep; it is the only readout.
+The three recurrent architectures run one stacked-layer loop. An input
+adapter turns the (B, T, K) channels into the layer-0 kernel input
+(T, S, B, Din), rows sorted by valid length in the same copy, the L
+layers run (with training, one after another with dropout between them;
+in inference, together per timestep), and the readout takes the top
+layer's final state back to the original row order. The state is carried
+over padded steps, so that is each sequence's state at its last valid
+timestep; it is the only readout.
 Inference splits the S stacks of the attribute-specific LSTM into one
 block per usable CPU and steps the blocks in threads; see `forward`. The
 adapters are: one single-channel stream per stack
@@ -205,25 +206,31 @@ def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
     return SequenceClassifier(config=cfg, params=params)
 
 
-def _recurrent_input(cfg: ModelConfig, p: dict, channels: np.ndarray) -> np.ndarray:
-    """Input adapter: (B, T, K) channels -> (T, S, B, Din) layer-0 input."""
+def _recurrent_input(cfg: ModelConfig, p: dict, batch: NormalizedBatch):
+    """Input adapter: the batch -> (T, S, B, Din) layer-0 input, and the row order.
+
+    One gather along B puts the rows in the kernels' order, longest first
+    (stable), and lays them out contiguously.
+    """
+    order = np.argsort(-batch.lengths, kind="stable")
+    channels = batch.channels
     if cfg.architecture == "gru_discretized":
         if channels.dtype.kind not in "iu":
             raise ValueError("gru_discretized expects integer (discretized) channels")
         embedded = [embedding_forward(p[f"emb{j}"], channels[:, :, j]) for j in cfg.gru_attributes]
         # (B, T, A*E) -> (T, 1, B, A*E)
-        return np.ascontiguousarray(np.concatenate(embedded, axis=2).transpose(1, 0, 2))[:, None]
-    if channels.shape[2] != cfg.channels:
+        x = np.concatenate(embedded, axis=2).transpose(1, 0, 2)[:, None]
+    elif channels.shape[2] != cfg.channels:
         raise ValueError(f"batch has {channels.shape[2]} channels, model expects {cfg.channels}")
-    x = channels.astype(np.float64, copy=False)
-    if cfg.architecture == "attribute_specific_lstm":
+    elif cfg.architecture == "attribute_specific_lstm":
         # (B, T, K) -> (T, K, B, 1): one single-channel stream per stack
-        return np.ascontiguousarray(x.transpose(1, 2, 0))[..., None]
-    # (B, T, K) -> (T, 1, B, K)
-    return np.ascontiguousarray(x.transpose(1, 0, 2))[:, None]
+        x = channels.astype(np.float64, copy=False).transpose(1, 2, 0)[..., None]
+    else:  # (B, T, K) -> (T, 1, B, K)
+        x = channels.astype(np.float64, copy=False).transpose(1, 0, 2)[:, None]
+    return np.take(x, order, axis=2), order
 
 
-def _recurrent_input_backward(cfg: ModelConfig, p: dict, ids: np.ndarray, dx, grads) -> None:
+def _recurrent_input_backward(cfg: ModelConfig, p: dict, ids, dx, grads) -> None:
     """Gradients of the adapter's own parameters from layer 0's input gradient."""
     if cfg.architecture != "gru_discretized":
         return
@@ -233,18 +240,6 @@ def _recurrent_input_backward(cfg: ModelConfig, p: dict, ids: np.ndarray, dx, gr
         grads[f"emb{j}"] = embedding_backward(
             p[f"emb{j}"], ids[:, :, j], dx0[:, :, slot * e : (slot + 1) * e]
         )
-
-
-def _sort_by_length(batch: NormalizedBatch):
-    """Recurrent kernels want rows ordered by non-increasing valid length.
-
-    Returns (channels, lengths, order, inverse); callers see original row
-    order, the permutation stays internal.
-    """
-    order = np.argsort(-batch.lengths, kind="stable")
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    return batch.channels[order], batch.lengths[order], order, inv
 
 
 def _flatten(feats):
@@ -360,8 +355,8 @@ def forward(
         spent.clear()
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
-        channels, lengths, order, inv = _sort_by_length(batch)
-        h = _recurrent_input(cfg, p, channels)
+        h, order = _recurrent_input(cfg, p, batch)
+        lengths = batch.lengths[order]
         layers = [[p[f"{cell}{layer}.{s}"] for s in suffixes] for layer in range(cfg.layers)]
         if training:
             kernel = globals()[f"{cell}_forward"]
@@ -380,12 +375,12 @@ def forward(
                 drop_masks=drop_masks,
                 h_shape=h.shape,
                 order=order,
-                ids=channels,
+                ids=batch.channels[order] if cell == "gru" else None,  # for the embedding grads
             )
             feats = h[-1]  # the carried state: each sequence's state at its last valid step
         else:  # lockstep: each layer's state at t is the next layer's input at t
             feats = _lockstep(globals()[f"{cell}_steps"], layers, h, lengths)
-        feats = _flatten(feats)[inv]
+        feats = _flatten(feats)[np.argsort(order)]
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
         m3 = batch.mask()[:, :, None].astype(bool)
@@ -495,9 +490,11 @@ def load_checkpoint(path) -> CheckpointData:
 
     The tensors must carry exactly the names and shapes `build(config)`
     gives, plus `adam.m.<name>` and `adam.v.<name>` per parameter when
-    optimizer state was saved, and the payload must hold exactly their
-    bytes, all finite, and its domain stats (unless the scheme is `none`)
-    usable by normalization. Every refusal is a ValueError naming the path.
+    optimizer state was saved (its step count `adam_t` a non-negative
+    integer), `meta` must be an object, the payload must hold exactly the
+    tensors' bytes, all finite, and its domain stats (unless the scheme is
+    `none`) must be usable by normalization. Every refusal is a ValueError
+    naming the path.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
@@ -525,9 +522,14 @@ def load_checkpoint(path) -> CheckpointData:
             raise ValueError(f"{path}: stats maxs {stats.maxs.tolist()} must exceed its mins")
         if np.any(stats.stds <= 0):
             raise ValueError(f"{path}: stats stds {stats.stds.tolist()} must be > 0")
+    adam_t, meta = header.get("adam_t"), header.get("meta", {})
+    if adam_t is not None and (type(adam_t) is not int or adam_t < 0):  # refuses true, too
+        raise ValueError(f"{path}: adam_t must be a non-negative integer, got {adam_t!r}")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta must be a JSON object, got {type(meta).__name__}")
 
     expected = {n: t.shape for n, t in build(cfg, seed=0).params.items()}
-    if header.get("adam_t") is not None:
+    if adam_t is not None:
         for n, shape in list(expected.items()):
             expected[f"adam.m.{n}"] = shape
             expected[f"adam.v.{n}"] = shape
@@ -569,7 +571,7 @@ def load_checkpoint(path) -> CheckpointData:
     return CheckpointData(
         model=SequenceClassifier(config=cfg, params=params),
         stats=stats,
-        meta=header.get("meta", {}),
-        adam_t=header.get("adam_t"),
+        meta=meta,
+        adam_t=adam_t,
         opt_tensors=opt_tensors or None,
     )

@@ -85,15 +85,12 @@ def _pulse_runs(sequences):
 def _block(total, run) -> tuple[np.ndarray, np.ndarray]:
     """One (1 + k, 3) array: the running sum's row, then the run's k pulses.
 
-    With no running sum yet (total None) the block is the pulses alone.
     Returns the block and its pulse rows.
     """
-    head = 0 if total is None else 1
-    block = np.empty((head + sum(len(v) for v in run), NUM_ATTRIBUTES))
-    if head:
-        block[0] = total
-    np.concatenate(run, out=block[head:])
-    return block, block[head:]
+    block = np.empty((1 + sum(len(v) for v in run), NUM_ATTRIBUTES))
+    block[0] = total
+    np.concatenate(run, out=block[1:])
+    return block, block[1:]
 
 
 def fit_domain_stats(train: Dataset) -> DomainStats:
@@ -107,14 +104,16 @@ def fit_domain_stats(train: Dataset) -> DomainStats:
     concatenated pulses: numpy's axis-0 sum of a C-contiguous (N, 3) array
     adds one row at a time, first to last, so summing a block whose first
     row is the running sum of the earlier runs makes the same additions in
-    the same order. Min and max are exact in any order.
+    the same order. Both sums start from a zero row, which moves no bit:
+    0.0 + x has the bits of x for every x but -0.0, and pulse values are
+    > 0 and squares >= +0. Min and max are exact in any order.
     """
     if train.n == 0:
         raise ValueError("cannot fit domain stats on an empty dataset")
     runs = list(_pulse_runs(train.sequences))
     mins = np.full(NUM_ATTRIBUTES, np.inf)
     maxs = np.full(NUM_ATTRIBUTES, -np.inf)
-    total = None
+    total = np.zeros(NUM_ATTRIBUTES)
     for run in runs:
         block, pulses = _block(total, run)
         columns = np.ascontiguousarray(pulses.T)  # contiguous rows reduce faster than columns
@@ -128,7 +127,7 @@ def fit_domain_stats(train: Dataset) -> DomainStats:
             )
     count = sum(seq.length for seq in train.sequences)
     means = total / count
-    squares = None
+    squares = np.zeros(NUM_ATTRIBUTES)
     for run in runs:
         block, pulses = _block(squares, run)
         pulses -= means

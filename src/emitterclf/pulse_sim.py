@@ -235,8 +235,8 @@ class SimConfig:
             raise ValueError(
                 f"length_range must satisfy {MIN_SEQ_LEN} <= lo <= hi <= {MAX_SEQ_LEN}"
             )
-        if not 0.0 <= self.noise_fraction:
-            raise ValueError("noise_fraction must be >= 0")
+        if not (math.isfinite(self.noise_fraction) and self.noise_fraction >= 0.0):
+            raise ValueError(f"noise_fraction must be finite and >= 0, got {self.noise_fraction}")
 
     @property
     def num_classes(self) -> int:

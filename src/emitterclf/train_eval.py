@@ -244,10 +244,12 @@ def evaluate(
     steps the recurrent layers together, holding no (T, S, B, H) slab, with
     the proposed model's stacks split over the usable CPUs: on `paperlike`
     (T up to 512) forward over the 256 longest test sequences peaks at
-    about 31 MB traced, in one block or two: two copies of the (B, T, 6)
-    input (12 MB), the two layers' step stores of B rows (13.5 MB) and
-    per-step temporaries. The whole call peaks at about 43 MB traced and
-    raises peak RSS from the 52 MB held before it to about 97 MB.
+    about 28 MB traced in one block and 26 MB in two: one copy of the
+    (B, T, 6) input, sorted and laid out for the kernels in one gather
+    (6 MB), the two layers' step stores of B rows (13.5 MB) and per-step
+    temporaries. The whole call peaks at about 38 MB traced and raises
+    peak RSS from the 57 MB that the set-up before it reached to about
+    96 MB.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

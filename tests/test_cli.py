@@ -360,6 +360,22 @@ def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "value,named",
+    [
+        ("sim.noise=inf", "noise_fraction must be finite"),
+        # the pattern's mean overflows to inf, and with it the drawn PRI values
+        ("sim.class.0.pri=stagger,1e308,1e308", "not written: record 1: field pri: non-finite pri"),
+    ],
+)
+def test_gen_refuses_a_dataset_that_load_would_refuse(tmp_path, capsys, value, named):
+    out = tmp_path / "d.ds"
+    capsys.readouterr()
+    assert main(["gen", "--config", MICRO, "--out", str(out), "--set", value]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "extra,named",
     [
         (["--config", MICRO, "--noise", "0.3"], "--noise"),
@@ -753,14 +769,19 @@ def test_training_data_faults_name_the_file(tmp_path, capsys, micro_data, comman
     assert not out.exists()
 
 
+def _with_header(ckpt, path, edit):
+    """A copy of ckpt whose JSON header `edit` has changed in place."""
+    magic, header, rest = ckpt.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    edit(fields)
+    path.write_bytes(b"\n".join([magic, json.dumps(fields, sort_keys=True).encode(), rest]))
+    return path
+
+
 def _with_readout(ckpt, path, readout):
     """A copy of ckpt whose config also carries `readout`, as checkpoints
     written while the readout was a setting do."""
-    magic, header, rest = ckpt.read_bytes().split(b"\n", 2)
-    fields = json.loads(header)
-    fields["config"]["readout"] = readout
-    path.write_bytes(b"\n".join([magic, json.dumps(fields, sort_keys=True).encode(), rest]))
-    return path
+    return _with_header(ckpt, path, lambda fields: fields["config"].update(readout=readout))
 
 
 def test_checkpoint_with_last_readout_evaluates_and_resumes(tmp_path, capsys, micro_data):
@@ -786,6 +807,48 @@ def test_checkpoint_with_last_readout_evaluates_and_resumes(tmp_path, capsys, mi
     confusions = [(tmp_path / name / "confusion.csv").read_bytes() for name in paths]
     assert confusions[0] == confusions[1]
     assert resumed["old"] == resumed["fresh"]
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory, micro_data):
+    ckpt = tmp_path_factory.mktemp("ckpt") / "fresh.ckpt"
+    assert main(_train_args(micro_data, ckpt, [])) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("adam_t", -1),
+        ("adam_t", "x"),
+        ("adam_t", 2.7),
+        ("adam_t", True),
+        ("meta.epoch_losses", "abc"),
+        ("meta.epoch_losses", [float("nan")]),
+        ("meta", []),
+    ],
+)
+def test_resume_refuses_corrupt_optimizer_state(
+    tmp_path, capsys, micro_data, micro_checkpoint, field, value
+):
+    """A resume refuses a step count that is not a non-negative integer, a
+    meta that is not an object and a loss history that is not a list of
+    finite numbers, naming the file and the field, and writes no checkpoint."""
+
+    def edit(fields):
+        *parents, key = field.split(".")
+        for parent in parents:
+            fields = fields[parent]
+        fields[key] = value
+
+    ckpt = _with_header(micro_checkpoint, tmp_path / "corrupt.ckpt", edit)
+    out = tmp_path / "resumed.ckpt"
+    capsys.readouterr()
+    resume = _checkpoint_args("train", ckpt, micro_data, out) + ["--set", "train.epochs=2"]
+    assert main(resume) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and field in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "noise-sweep", "train"])

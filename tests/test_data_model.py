@@ -12,6 +12,7 @@ from emitterclf.data_model import (
     Dataset,
     DatasetFormatError,
     PulseSequence,
+    _validate_values,
     dataset_fingerprint,
     load_dataset,
     save_dataset,
@@ -244,6 +245,75 @@ def test_round_trip_property(tmp_path_factory, ds):
     loaded = load_dataset(path)
     assert loaded == ds
     assert serialize_dataset(loaded) == serialize_dataset(ds)
+
+
+def _record(label, values):
+    rows = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in values)
+    return f"seq {label} {len(values)}\n" + rows
+
+
+_FAULTS = ["nan", "inf", "-inf", "zero", "negative", "pw>=pri"]
+
+
+def _break_rule(values, draw, fault):
+    """Break the pulse rule once in `values`, at a drawn pulse (and field)."""
+    t = draw(st.integers(0, len(values) - 1), label="pulse")
+    if fault == "pw>=pri":
+        values[t, 1] = values[t, 0] * draw(st.floats(1.0, 10.0), label="pw/pri")
+    else:
+        bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "zero": 0.0, "negative": -1.0}
+        values[t, draw(st.integers(0, 2), label="field")] = bad[fault]
+
+
+@given(length=st.integers(7, 12), fault=st.sampled_from(_FAULTS), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_loader_refuses_a_bad_value_as_the_pulse_rule_does(tmp_path_factory, length, fault, data):
+    """One value that breaks the pulse rule makes load_dataset raise the
+    message _validate_values gives for that record's array, after `record N: `."""
+    values = np.array([[100.0, 1.0, 9000.0]] * length)
+    _break_rule(values, data.draw, fault)
+    with pytest.raises(ValueError) as rule:
+        _validate_values(values)
+    rows = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in values)
+    good = "seq 0 7\n" + "100 1 9000\n" * 7
+    path = tmp_path_factory.mktemp("bad") / "ds.txt"
+    path.write_text(f"# emitter-dataset v1\nclasses 2\n{good}seq 1 {length}\n{rows}")
+    with pytest.raises(DatasetFormatError) as refused:
+        load_dataset(path)
+    assert str(refused.value).endswith(f"record 2: {rule.value}")
+
+
+@st.composite
+def maybe_bad_datasets(draw):
+    """A valid dataset, or one with a sequence that breaks the pulse rule once (built unchecked)."""
+    ds = draw(datasets())
+    if draw(st.booleans()):
+        return ds
+    k = draw(st.integers(0, ds.n - 1))
+    values = ds.sequences[k].values.copy()
+    _break_rule(values, draw, draw(st.sampled_from(_FAULTS)))
+    seqs = list(ds.sequences)
+    seqs[k] = PulseSequence(values, seqs[k].label, check=False)
+    return Dataset(seqs, ds.num_classes)
+
+
+@given(maybe_bad_datasets())
+@settings(max_examples=60, deadline=None)
+def test_save_writes_only_what_load_reads_back(tmp_path_factory, ds):
+    """What save_dataset writes, load_dataset reads back equal; a dataset
+    whose values _validate_values refuses, save_dataset refuses, and it
+    leaves no file."""
+    path = tmp_path_factory.mktemp("save") / "ds.txt"
+    try:
+        for seq in ds.sequences:
+            _validate_values(seq.values)
+    except ValueError as exc:
+        with pytest.raises(DatasetFormatError, match=re.escape(str(exc))):
+            save_dataset(ds, path)
+        assert not path.exists()
+    else:
+        save_dataset(ds, path)
+        assert load_dataset(path) == ds
 
 
 def _imbalanced_dataset(counts):

@@ -444,6 +444,42 @@ def test_inference_forward_holds_no_time_slab():
     assert peak < slab / 4
 
 
+def test_inference_holds_one_copy_of_the_input(monkeypatch):
+    """On entry to the recurrent steps, model.py holds one block the size of
+    the (B, T, 6) input, not two: the rows' longest-first order and the
+    kernel layout are made in one gather. Batch 256 at T = 512 (6.3 MB),
+    one block (split width 1), rows not yet in order."""
+    cfg = _cfg(hidden=4, layers=1, num_classes=3)
+    model = build(cfg, seed=0)
+    t, b = 512, 256
+    rng = np.random.default_rng(2)
+    lengths = rng.integers(1, t + 1, size=b)
+    batch = NormalizedBatch(
+        channels=rng.uniform(-1.0, 1.0, size=(b, t, cfg.channels)),
+        lengths=lengths,
+        labels=np.zeros(b, dtype=np.int64),
+    )
+    held = []
+    lockstep = model_module._lockstep
+
+    def snapshot_then_step(*args):
+        in_model = tracemalloc.Filter(True, model_module.__file__, all_frames=True)
+        traces = tracemalloc.take_snapshot().filter_traces([in_model])
+        held.extend(stat.size for stat in traces.statistics("traceback"))
+        return lockstep(*args)
+
+    monkeypatch.setattr(model_module, "_split_width", lambda groups: 1)
+    monkeypatch.setattr(model_module, "_lockstep", snapshot_then_step)
+    tracemalloc.start(10)  # np.take allocates below a numpy Python frame
+    try:
+        forward(model, batch)
+    finally:
+        tracemalloc.stop()
+    block = batch.channels.nbytes
+    assert sum(size >= block for size in held) == 1
+    assert sum(held) < 1.5 * block
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     scheme=st.sampled_from(["minmax", "minmax+perseq"]),
