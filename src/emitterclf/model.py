@@ -271,8 +271,9 @@ def _lockstep(steps, layers, x, lengths):
     at t, and keeps its top layer's final state: with the carried state,
     that is each sequence's state at its last valid step. The calling
     thread builds every chain and takes its step 0, which allocates the
-    generators' stores from the calling thread's heap, not from a worker's
-    malloc arena that outlives the call. Then it drains the first chain and
+    generators' stores (mappings of their own, see layers.reuse) and halved
+    weights in the calling thread, not in a worker's malloc arena that
+    outlives the call. Then it drains the first chain and
     worker threads the others; they share only read-only inputs, and the
     readout has the bits of width 1 (see `forward`).
     """

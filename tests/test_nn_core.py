@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -269,6 +270,45 @@ def test_reuse_writes_over_a_buffer_until_a_call_needs_more():
         tracemalloc.stop()
     assert grown.shape == (1500, 1000) and stores[0].size == grown.size
     assert peak < 8 * 2_000_000  # the new 12 MB buffer alone, not it plus the old 8 MB
+
+
+def _resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_reuse_holds_only_the_live_stores_resident():
+    """Slot 0 grows within its mapping, then past it, while slot 1's store
+    sits after it. Resident memory must stay at the live stores. On
+    glibc's heap, once the mmap threshold had risen above the store size
+    (here by freeing a 24 MB array), the outgrown 8 MB store stayed as a
+    resident hole."""
+    freed = np.ones(3_000_000)
+    del freed  # a 24 MB buffer freed: the threshold rises to it
+    before = _resident_mb()
+    stores = []
+    reuse(stores, 0, (1_000_000,)).fill(1.0)
+    reuse(stores, 1, (1_000_000,)).fill(1.0)
+    start = stores[0].ctypes.data
+    reuse(stores, 0, (1_500_000,)).fill(1.0)  # within the mapping slot 0 reserved
+    assert stores[0].ctypes.data == start
+    assert _resident_mb() - before < 8 * 2_500_000 / 2**20 + 4  # 19 MB live
+    reuse(stores, 0, (2_500_000,)).fill(1.0)  # past it: a new mapping
+    assert _resident_mb() - before < 8 * 3_500_000 / 2**20 + 4  # 27 MB live
+
+
+def test_reuse_reports_its_buffers_to_tracemalloc():
+    stores = []
+    tracemalloc.start()
+    try:
+        reuse(stores, 0, (1_000_000,))
+        held, _ = tracemalloc.get_traced_memory()
+        stores.clear()
+        freed, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 8_000_000 and held - freed >= 8_000_000
 
 
 def test_fc_pass_through_and_bias():
