@@ -210,19 +210,21 @@ def _recurrent_input(cfg: ModelConfig, p: dict, batch: NormalizedBatch):
     """Input adapter: the batch -> (T, S, B, Din) layer-0 input, and the row order.
 
     One gather along B puts the rows in the kernels' order, longest first
-    (stable), and lays them out contiguously.
+    (stable), and lays them out contiguously. The GRU's gather is of the
+    ids, before the lookup, so its lookups and their concatenation build
+    the layout.
     """
     order = np.argsort(-batch.lengths, kind="stable")
     channels = batch.channels
     if cfg.architecture == "gru_discretized":
         if channels.dtype.kind not in "iu":
             raise ValueError("gru_discretized expects integer (discretized) channels")
-        embedded = [embedding_forward(p[f"emb{j}"], channels[:, :, j]) for j in cfg.gru_attributes]
-        # (B, T, A*E) -> (T, 1, B, A*E)
-        x = np.concatenate(embedded, axis=2).transpose(1, 0, 2)[:, None]
-    elif channels.shape[2] != cfg.channels:
+        ids = channels[order]
+        embedded = [embedding_forward(p[f"emb{j}"], ids[:, :, j].T) for j in cfg.gru_attributes]
+        return np.concatenate(embedded, axis=2)[:, None], order  # (T, 1, B, A*E)
+    if channels.shape[2] != cfg.channels:
         raise ValueError(f"batch has {channels.shape[2]} channels, model expects {cfg.channels}")
-    elif cfg.architecture == "attribute_specific_lstm":
+    if cfg.architecture == "attribute_specific_lstm":
         # (B, T, K) -> (T, K, B, 1): one single-channel stream per stack
         x = channels.astype(np.float64, copy=False).transpose(1, 2, 0)[..., None]
     else:  # (B, T, K) -> (T, 1, B, K)
@@ -230,15 +232,22 @@ def _recurrent_input(cfg: ModelConfig, p: dict, batch: NormalizedBatch):
     return np.take(x, order, axis=2), order
 
 
-def _recurrent_input_backward(cfg: ModelConfig, p: dict, ids, dx, grads) -> None:
-    """Gradients of the adapter's own parameters from layer 0's input gradient."""
+def _recurrent_input_backward(cfg: ModelConfig, p: dict, cache: dict, dx, grads) -> None:
+    """Gradients of the adapter's own parameters from layer 0's input gradient dx.
+
+    Only valid steps are summed: a padded step's dx rows are +0.0, which
+    adds nothing to an embedding gradient.
+    """
     if cfg.architecture != "gru_discretized":
         return
-    dx0 = dx[:, 0].transpose(1, 0, 2)  # (T, 1, B, A*E) -> (B, T, A*E)
+    ids, lengths = cache["ids"], cache["lengths"]
+    valid = np.arange(ids.shape[1]) < lengths[:, None]  # (B, T), rows in kernel order
+    dx_valid = dx[:, 0].transpose(1, 0, 2)[valid]  # (T, 1, B, A*E) -> (valid steps, A*E)
+    ids_valid = ids[valid]
     e = cfg.embed_dim
     for slot, j in enumerate(cfg.gru_attributes):
         grads[f"emb{j}"] = embedding_backward(
-            p[f"emb{j}"], ids[:, :, j], dx0[:, :, slot * e : (slot + 1) * e]
+            p[f"emb{j}"], ids_valid[:, j], dx_valid[:, slot * e : (slot + 1) * e]
         )
 
 
@@ -376,6 +385,7 @@ def forward(
                 drop_masks=drop_masks,
                 h_shape=h.shape,
                 order=order,
+                lengths=lengths,
                 ids=batch.channels[order] if cell == "gru" else None,  # for the embedding grads
             )
             feats = h[-1]  # the carried state: each sequence's state at its last valid step
@@ -437,7 +447,7 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
                 if dm is not None:
                     dx *= dm
                 dh_seq = dx
-        _recurrent_input_backward(cfg, p, cache["ids"], dx, grads)
+        _recurrent_input_backward(cfg, p, cache, dx, grads)
     elif cfg.architecture == "stats_mlp":
         dh = dfeats
         for i in range(len(cfg.mlp_hidden) - 1, -1, -1):

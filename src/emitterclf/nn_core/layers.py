@@ -142,6 +142,12 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def embedding_backward(table: np.ndarray, ids: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    dtable = np.zeros_like(table)
-    np.add.at(dtable, ids.reshape(-1), dout.reshape(-1, table.shape[1]))
-    return dtable
+    """Gradient of `table[ids]`: dout's rows summed into the rows of their ids.
+
+    ids: (N,), dout: (N, E). Each element goes to bin id * E + column in
+    dout's order from 0.0, as np.add.at(zeros, ids, dout) adds them, so the
+    bits are that formula's.
+    """
+    vocab, dim = table.shape
+    bins = (ids[:, None] * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(bins, weights=dout.reshape(-1), minlength=vocab * dim).reshape(vocab, dim)

@@ -11,6 +11,7 @@ from emitterclf.nn_core import (
     Adam,
     clip_gradients,
     dropout,
+    embedding_backward,
     fc_backward,
     fc_forward,
     global_grad_norm,
@@ -309,6 +310,28 @@ def test_reuse_reports_its_buffers_to_tracemalloc():
     finally:
         tracemalloc.stop()
     assert held >= 8_000_000 and held - freed >= 8_000_000
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    vocab=st.integers(1, 9),
+    dim=st.integers(1, 5),
+    rows=st.integers(0, 40),
+    zero_frac=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embedding_backward_equals_add_at(vocab, dim, rows, zero_frac, seed):
+    """The gradient has the bytes of np.add.at(zeros, ids, dout), signed zeros
+    in dout included: each bin sums its rows in row order from +0.0."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(vocab, dim))
+    ids = rng.integers(0, vocab, size=rows)
+    dout = rng.normal(size=(rows, dim))
+    zeroed = rng.random((rows, dim)) < zero_frac
+    dout[zeroed] = np.where(rng.random(int(zeroed.sum())) < 0.5, -0.0, 0.0)
+    want = np.zeros_like(table)
+    np.add.at(want, ids, dout)
+    assert embedding_backward(table, ids, dout).tobytes() == want.tobytes()
 
 
 def test_fc_pass_through_and_bias():
