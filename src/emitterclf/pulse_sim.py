@@ -52,6 +52,14 @@ __all__ = [
 VALUE_FLOOR = 1e-9
 
 
+def _check_summary(pattern, kind: str) -> None:
+    """Refuse a pattern whose mean, lo or hi overflows, though each value is finite."""
+    with np.errstate(over="ignore"):
+        summary = (pattern.mean, pattern.lo, pattern.hi)
+    if not all(math.isfinite(v) for v in summary):
+        raise ValueError(f"{kind} pattern's mean, lo and hi must be finite, got {summary}")
+
+
 @dataclass(frozen=True)
 class ConstantPattern:
     value: float
@@ -88,6 +96,7 @@ class _CyclePattern:
             raise ValueError(f"{self.kind} pattern needs at least one value")
         if not all(math.isfinite(v) and v > 0.0 for v in self.values):
             raise ValueError(f"{self.kind} pattern values must be finite and > 0, got {self.values}")
+        _check_summary(self, self.kind)
 
     def column(self, t: np.ndarray, u) -> np.ndarray:
         return np.array(self.values)[(t // self.dwell) % len(self.values)]
@@ -125,6 +134,7 @@ class JitterPattern:
             raise ValueError(f"jitter center must be finite and > 0, got {self.center}")
         if not 0.0 <= self.deviation <= 0.5:  # also refuses NaN
             raise ValueError("jitter deviation must lie in [0, 0.5]")
+        _check_summary(self, "jitter")
 
     def column(self, t, u: np.ndarray) -> np.ndarray:
         return self.center * (1.0 + self.deviation * u)

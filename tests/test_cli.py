@@ -363,8 +363,8 @@ def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
     "value,named",
     [
         ("sim.noise=inf", "noise_fraction must be finite"),
-        # the pattern's mean overflows to inf, and with it the drawn PRI values
-        ("sim.class.0.pri=stagger,1e308,1e308", "not written: record 1: field pri: non-finite pri"),
+        # the pattern's mean would overflow to inf, and with it the drawn PRI values
+        ("sim.class.0.pri=stagger,1e308,1e308", "sim.class.0.pri: stagger pattern's mean"),
     ],
 )
 def test_gen_refuses_a_dataset_that_load_would_refuse(tmp_path, capsys, value, named):

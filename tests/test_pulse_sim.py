@@ -78,6 +78,23 @@ def test_pattern_validation():
             make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StaggerPattern((1e308, 1e308)),
+        lambda: HopPattern((1.7e308, 1e308), dwell=1),
+        lambda: JitterPattern(1.5e308, 0.5),
+    ],
+    ids=["stagger-mean", "hop-mean", "jitter-hi"],
+)
+def test_pattern_refuses_an_overflowing_summary(make, recwarn):
+    """Finite values whose mean or hi overflows are refused in-process, with
+    no overflow warning on the way: generate_dataset would draw inf values."""
+    with pytest.raises(ValueError, match="mean, lo and hi must be finite"):
+        make()
+    assert not recwarn.list
+
+
 def test_emitter_spec_validation():
     with pytest.raises(ValueError, match="max PW"):
         _spec(ConstantPattern(10.0), ConstantPattern(10.0), ConstantPattern(9000.0))
