@@ -7,7 +7,9 @@ parameters, its epoch losses, its inference logits on the test split and
 the confusion matrix `evaluate` reports, then one cumulative sha256 of
 those. A last line hashes the 4 confusion matrices again, from `evaluate`
 at batch_size=2: the micro test split's 6 sequences then take 3 batches,
-whose predictions must go back to their own sequences. Before all that it
+whose predictions must go back to their own sequences. A last line hashes
+the proposed model's trained parameters, epoch losses and logits at 3
+layers, where two inter-layer dropout draws must keep their order. Before all that it
 prints, for each of the micro, paperlike_small and paperlike presets, a
 sha256 of the serialized dataset (the text `save_dataset` writes) that the
 preset generates at its config seed, the same sha256 after a
@@ -85,20 +87,31 @@ def main() -> None:
             base, architecture=arch, scheme=SCHEMES[arch],
             hidden=args.hidden, dropout=args.dropout, embed_dim=4, mlp_hidden=(8, 8),
         )
-        result = train(build(model_cfg, seed=train_cfg.seed), train_ds, train_cfg)
-        params = [result.model.params[n] for n in sorted(result.model.params)]
-        normalized = [
-            normalize_scheme(s, result.stats, model_cfg.scheme, model_cfg.bins)
-            for s in test_ds.sequences
-        ]
-        logits, _ = forward(result.model, build_batch(normalized))
-        confusion = evaluate(result.model, test_ds, result.stats).confusion
-        parts = [_sha(*params), _sha(result.epoch_losses), _sha(logits), _sha(confusion)]
+        parts, result = _train_and_hash(model_cfg, train_ds, test_ds, train_cfg)
         total.update("".join(parts).encode())
         print(arch, *(p[:12] for p in parts))
         batched.update(_sha(evaluate(result.model, test_ds, result.stats, batch_size=2).confusion).encode())
     print("cumulative", total.hexdigest())
     print("evaluate batch_size=2", batched.hexdigest())
+    deep = dataclasses.replace(
+        base, architecture="attribute_specific_lstm", scheme=SCHEMES["attribute_specific_lstm"],
+        hidden=args.hidden, dropout=args.dropout, layers=3,
+    )
+    parts, _ = _train_and_hash(deep, train_ds, test_ds, train_cfg)
+    print("attribute_specific_lstm layers=3", *(p[:12] for p in parts))
+
+
+def _train_and_hash(model_cfg, train_ds, test_ds, train_cfg):
+    """Train 2 epochs; sha256 of the params, epoch losses, test logits and confusion matrix."""
+    result = train(build(model_cfg, seed=train_cfg.seed), train_ds, train_cfg)
+    params = [result.model.params[n] for n in sorted(result.model.params)]
+    normalized = [
+        normalize_scheme(s, result.stats, model_cfg.scheme, model_cfg.bins)
+        for s in test_ds.sequences
+    ]
+    logits, _ = forward(result.model, build_batch(normalized))
+    confusion = evaluate(result.model, test_ds, result.stats).confusion
+    return [_sha(*params), _sha(result.epoch_losses), _sha(logits), _sha(confusion)], result
 
 
 if __name__ == "__main__":

@@ -15,11 +15,14 @@ Four architectures share one interface:
 The three recurrent architectures run one stacked-layer loop. An input
 adapter turns the (B, T, K) channels into the layer-0 kernel input
 (T, S, B, Din), rows sorted by valid length in the same copy, the L
-layers run (with training, one after another with dropout between them;
-in inference, together per timestep), and the readout takes the top
-layer's final state back to the original row order. The state is carried
-over padded steps, so that is each sequence's state at its last valid
-timestep; it is the only readout.
+layers step together, one chain of per-layer step generators
+(`_chain`) in which layer l's state at t is layer l+1's input at t
+(in training, through the inter-layer dropout mask), and the readout
+takes the top layer's final state back to the original row order. The
+state is carried over padded steps, so that is each sequence's state at
+its last valid timestep; it is the only readout. Training's backward
+pass runs the mirror chain (`_back_chain`), one reverse step generator
+per layer.
 Inference splits the S stacks of the attribute-specific LSTM into one
 block per usable CPU and steps the blocks in threads; see `forward`. The
 adapters are: one single-channel stream per stack
@@ -35,6 +38,7 @@ model config, the fitted domain stats, and optional optimizer state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -52,18 +56,21 @@ from .nn_core import (
     embedding_forward,
     fc_backward,
     fc_forward,
-    gru_backward,
-    gru_forward,
     init_embedding,
     init_fc,
     init_gru_params,
     init_lstm_params,
-    lstm_backward,
-    lstm_forward,
     relu_backward,
     relu_forward,
 )
-from .nn_core.recurrent import active_rows, gru_steps, lstm_steps
+
+# The stacks call none of these whole-sequence kernels: they chain the step
+# generators imported below. The kernels stay bound in this module because
+# perfbench's tracer wraps `emitterclf.model.<name>` for each of them and
+# refuses to run when a name is missing.
+from .nn_core import gru_backward, gru_forward, lstm_backward, lstm_forward  # noqa: F401
+from .nn_core.layers import dropout_masks
+from .nn_core.recurrent import active_rows, gru_back_steps, gru_steps, lstm_back_steps, lstm_steps
 from .normalize import (
     DEFAULT_BINS,
     SCHEMES,
@@ -163,9 +170,9 @@ class SequenceClassifier:
 
 
 # Recurrent architectures: (cell, parameter suffixes in kernel argument
-# order). Layer l's tensors are named f"{cell}{l}.{suffix}". The kernels
-# are looked up by name in this module's globals at call time, so a
-# rebinding of `emitterclf.model.lstm_forward` (a tracer) takes effect.
+# order). Layer l's tensors are named f"{cell}{l}.{suffix}". The step
+# generators are looked up by name in this module's globals at call time,
+# so a rebinding of `emitterclf.model.lstm_steps` takes effect.
 _RECURRENT = {
     "attribute_specific_lstm": ("lstm", ("W", "U", "b")),
     "joint_lstm": ("lstm", ("W", "U", "b")),
@@ -272,13 +279,52 @@ def _split_width(groups: int) -> int:
     return min(groups, cpus)
 
 
+def _keeping(steps, kept: list, layer: int):
+    """Yield what the generator `steps` yields; keep what it returns in kept[layer]."""
+    kept[layer] = yield from steps
+
+
+def _dropped(states, masks, scale: float):
+    """Each state times its step's keep mask and `scale`: dropout's h * keep, bit for bit."""
+    out = np.empty(masks.shape[1:])
+    for h, mask in zip(states, masks):
+        np.multiply(h, mask, out=out)
+        out *= scale
+        yield out
+
+
+def _chain(steps, layers, x, active, offsets=None, stores=None, masks=None, scale=1.0):
+    """The stack's chain of step generators over x (T, S, B, Din) -> (top, kept).
+
+    Layer l's state at t, times masks[l][t] * scale when masks is given
+    (training with dropout), is layer l+1's input at t. top yields the top
+    layer's state at each step; with the carried state, its last is each
+    sequence's state at its last valid step. With offsets (training), layer
+    l keeps its BPTT stores in the list stores[l], and once top is drained
+    kept[l] holds what its generator returned.
+    """
+    kept = [None] * len(layers)
+    states = iter(x)
+    for layer, params in enumerate(layers):
+        if layer and masks is not None:
+            states = _dropped(states, masks[layer - 1], scale)
+        gen = steps(*params, states, active, offsets, None if stores is None else stores[layer])
+        states = _keeping(gen, kept, layer)
+    return states, kept
+
+
+def _last(states):
+    """Run a chain to its end; return what it yielded last."""
+    for last in states:
+        pass
+    return last
+
+
 def _lockstep(steps, layers, x, lengths):
     """Inference over x (T, S, B, Din) in _split_width(S) blocks of groups -> (S, B, H) readout.
 
-    Each block [lo, hi) chains one step generator per layer over the
-    parameter slices [lo:hi], so layer l's state at t is layer l+1's input
-    at t, and keeps its top layer's final state: with the carried state,
-    that is each sequence's state at its last valid step. The calling
+    Each block [lo, hi) runs the chain (`_chain`) over the parameter slices
+    [lo:hi] and keeps its top layer's final state. The calling
     thread builds every chain and takes its step 0, which allocates the
     generators' stores (mappings of their own, see layers.reuse) and halved
     weights in the calling thread, not in a worker's malloc arena that
@@ -291,32 +337,49 @@ def _lockstep(steps, layers, x, lengths):
     width = _split_width(S)  # 1 for the single-stack architectures
 
     def chain(lo, hi):
-        states = iter(x[:, lo:hi])
-        for params in layers:
-            states = steps(*(a[lo:hi] for a in params), states, active, None)
-        return states, next(states)
-
-    def drain(states, last):
-        for last in states:
-            pass
-        return last
+        top, _ = _chain(steps, [[a[lo:hi] for a in params] for params in layers], x[:, lo:hi], active)
+        return itertools.chain([next(top)], top)
 
     bounds = [(S * k // width, S * (k + 1) // width) for k in range(width)]
     chains = [chain(lo, hi) for lo, hi in bounds]
     if width == 1:
-        return drain(*chains[0])
+        return _last(chains[0])
     with ThreadPoolExecutor(width - 1) as pool:
-        others = [pool.submit(drain, *c) for c in chains[1:]]
-        parts = [drain(*chains[0])] + [f.result() for f in others]
+        others = [pool.submit(_last, c) for c in chains[1:]]
+        parts = [_last(chains[0])] + [f.result() for f in others]
     return np.concatenate(parts)
 
 
-def _readout_backward(dfeats, shape):
-    """(B, S*H) feature gradient -> the (T, S, B, H) top-layer gradient, nonzero at the last step."""
-    _, s, b, h = shape
-    dh_seq = np.zeros(shape)
-    dh_seq[-1] = dfeats.reshape(b, s, h).transpose(1, 0, 2)
-    return dh_seq
+def _back_chain(back_steps, layers, cache, top, dx0) -> list:
+    """The mirror of the training chain: each layer's parameter gradients.
+
+    One reverse step generator per layer, from t = T-1 down to 0. The top
+    layer's upstream gradient is `top` at T-1 and one shared zero array
+    after it. Layer l's input gradient at t, times the mask that dropped
+    its input, is layer l-1's upstream gradient at t; it is written into
+    one (S, B, H) scratch that layer l-1 reads before layer l's next step.
+    Layer l > 0 recomputes its input from the state below, as the forward
+    dropped it. Layer 0 writes its input gradient into dx0, or computes
+    none when dx0 is None.
+    """
+    x, kept, masks, scale = cache["x"], cache["kept"], cache["masks"], cache["scale"]
+    active, offsets = cache["active"], cache["offsets"]
+    dhs = itertools.chain([top], itertools.repeat(np.zeros(top.shape), len(active) - 1))
+    grads = [None] * len(layers)
+    for layer in range(len(layers) - 1, -1, -1):
+        if layer == 0:
+            xs, dx = x[::-1], dx0
+        else:
+            xs = kept[layer - 1][-1][::-1]  # the states below, from T-1 down
+            if masks is not None:
+                xs = _dropped(xs, masks[layer - 1][::-1], scale)
+            dx = np.zeros((1, *top.shape))
+        gen = back_steps(*layers[layer], kept[layer], xs, dhs, active, offsets, dx)
+        dhs = _keeping(gen, grads, layer)
+        if layer and masks is not None:
+            dhs = _dropped(dhs, masks[layer - 1][::-1], scale)
+    _last(dhs)
+    return grads
 
 
 def forward(
@@ -328,12 +391,15 @@ def forward(
 ) -> tuple[np.ndarray, dict | None]:
     """Compute pre-softmax logits for a padded batch.
 
-    training=True runs the recurrent layers one after another, applies
-    dropout (drawn from rng) between them and before the FC layer, and
-    returns (logits, cache) for `backward`. training=False (inference)
-    applies no dropout and returns (logits, None): its recurrent layers step
-    together, one layer's state at t being the next layer's input at t, so
-    each holds a two-slot ring of (S, B, H) states and no (T, S, B, H) array
+    training=True applies dropout (drawn from rng) between the recurrent
+    layers and before the FC layer, and returns (logits, cache) for
+    `backward`. training=False (inference) applies no dropout and returns
+    (logits, None). Both step the recurrent layers together, one layer's
+    state at t being the next layer's input at t. Training keeps each
+    layer's BPTT stores, and its inter-layer dropout masks are one byte
+    per element, all drawn before any layer steps, in layer order, as one
+    slab draw per layer boundary would draw them. Inference keeps a
+    two-slot ring of (S, B, H) states per layer, so no (T, S, B, H) array
     exists. At dropout 0 the logits are bit-identical either way.
 
     Inference also splits the S groups into min(S, CPUs in the process's
@@ -345,14 +411,15 @@ def forward(
     nothing before the FC layer, numpy's stacked matmul runs one product
     per group at the shape it has in the whole S, and every other operation
     is elementwise, so the logits have the same bits at every width. The
-    single-stack architectures (S = 1) start no thread, and training runs
-    in the calling thread.
+    single-stack architectures (S = 1) start no thread. Training runs in
+    the calling thread at width 1: per-block training threads were
+    measured slower.
 
     spent, the cache of this model's previous training forward once
     `backward` is done with it, is handed over: forward empties it and
     writes the recurrent stores, the states and the inter-layer dropout
-    masks and outputs over its memory, which grows only when this batch
-    needs more rows or a longer T. The results are the same bits.
+    masks over its memory, which grows only when this batch needs more
+    rows or a longer T. The results are the same bits.
     """
     cfg = model.config
     if training and cfg.dropout > 0.0 and rng is None:
@@ -365,32 +432,34 @@ def forward(
         spent.clear()
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
-        h, order = _recurrent_input(cfg, p, batch)
+        steps = globals()[f"{cell}_steps"]
+        x, order = _recurrent_input(cfg, p, batch)
         lengths = batch.lengths[order]
         layers = [[p[f"{cell}{layer}.{s}"] for s in suffixes] for layer in range(cfg.layers)]
         if training:
-            kernel = globals()[f"{cell}_forward"]
-            if stores is None:  # one list per kernel call and per inter-layer dropout, in call order
-                stores = [[] for _ in range(2 * cfg.layers - 1)]
-            layer_caches, drop_masks = [], []
-            for layer, params in enumerate(layers):
-                h, lc = kernel(*params, h, lengths, stores=stores[2 * layer])
-                layer_caches.append(lc)
-                if layer < cfg.layers - 1:
-                    h, dm = dropout(h, cfg.dropout, rng, stores=stores[2 * layer + 1])
-                    drop_masks.append(dm)
+            if stores is None:  # one list per layer, then the inter-layer masks'
+                stores = [[] for _ in range(cfg.layers + 1)]
+            T, S, B, _ = x.shape
+            active, offsets = active_rows(lengths, T, B)
+            shape = (cfg.layers - 1, T, S, B, cfg.hidden)
+            masks = dropout_masks(shape, cfg.dropout, rng, stores=stores[-1])
+            scale = 1.0 / (1.0 - cfg.dropout)
+            top, kept = _chain(steps, layers, x, active, offsets, stores, masks, scale)
+            feats = _last(top)
             cache.update(
                 stores=stores,
-                layer_caches=layer_caches,
-                drop_masks=drop_masks,
-                h_shape=h.shape,
+                x=x,
+                kept=kept,
+                masks=masks,
+                scale=scale,
+                active=active,
+                offsets=offsets,
                 order=order,
                 lengths=lengths,
                 ids=batch.channels[order] if cell == "gru" else None,  # for the embedding grads
             )
-            feats = h[-1]  # the carried state: each sequence's state at its last valid step
-        else:  # lockstep: each layer's state at t is the next layer's input at t
-            feats = _lockstep(globals()[f"{cell}_steps"], layers, h, lengths)
+        else:
+            feats = _lockstep(steps, layers, x, lengths)
         feats = _flatten(feats)[np.argsort(order)]
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
@@ -435,19 +504,17 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
 
     if cfg.architecture in _RECURRENT:
         cell, suffixes = _RECURRENT[cfg.architecture]
-        kernel = globals()[f"{cell}_backward"]
-        dfeats = dfeats[cache["order"]]
-        dh_seq = _readout_backward(dfeats, cache["h_shape"])
-        for layer in range(cfg.layers - 1, -1, -1):
-            names = [f"{cell}{layer}.{s}" for s in suffixes]
-            *dparams, dx = kernel(*(p[n] for n in names), cache["layer_caches"][layer], dh_seq)
-            grads.update(zip(names, dparams))
-            if layer > 0:
-                dm = cache["drop_masks"][layer - 1]
-                if dm is not None:
-                    dx *= dm
-                dh_seq = dx
-        _recurrent_input_backward(cfg, p, cache, dx, grads)
+        names = [[f"{cell}{layer}.{s}" for s in suffixes] for layer in range(cfg.layers)]
+        x = cache["x"]
+        _, S, B, _ = x.shape
+        top = dfeats[cache["order"]].reshape(B, S, -1).transpose(1, 0, 2)
+        dx0 = np.zeros(x.shape) if cell == "gru" else None  # the LSTM's layer-0 dx has no reader
+        dparams = _back_chain(
+            globals()[f"{cell}_back_steps"], [[p[n] for n in ns] for ns in names], cache, top, dx0
+        )
+        for layer in range(cfg.layers - 1, -1, -1):  # top first: global_grad_norm sums in this order
+            grads.update(zip(names[layer], dparams[layer]))
+        _recurrent_input_backward(cfg, p, cache, dx0, grads)
     elif cfg.architecture == "stats_mlp":
         dh = dfeats
         for i in range(len(cfg.mlp_hidden) - 1, -1, -1):

@@ -16,6 +16,7 @@ __all__ = [
     "fc_forward",
     "fc_backward",
     "dropout",
+    "dropout_masks",
     "reuse",
     "relu_forward",
     "relu_backward",
@@ -59,12 +60,12 @@ def _trace(mapping: np.ndarray, used: int) -> None:
     """While tracemalloc traces, report a mapping's first `used` values, as numpy reports its buffers."""
     if tracemalloc.is_tracing():
         ptr = mapping.ctypes.data
-        _TRACK(_NUMPY_TRACE_DOMAIN, ptr, 8 * used)  # a tracked pointer takes the new size
+        _TRACK(_NUMPY_TRACE_DOMAIN, ptr, mapping.itemsize * used)  # a tracked pointer takes the new size
         weakref.finalize(mapping, _UNTRACK, _NUMPY_TRACE_DOMAIN, ptr)
 
 
-def reuse(stores: list, i: int, shape) -> np.ndarray:
-    """An uninitialized float64 array of `shape` in stores[i], a buffer kept across calls.
+def reuse(stores: list, i: int, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of `shape` in stores[i], a buffer kept across calls.
 
     stores holds a caller's buffers, one slot per array it asks for, filled
     in slot order on its first call. The buffer in slot i is written over when
@@ -93,35 +94,54 @@ def reuse(stores: list, i: int, shape) -> np.ndarray:
         stores[i] = None
         if mapping is None or mapping.size < size:
             mapping = None  # free the old mapping before mapping its successor
-            mapping = np.frombuffer(mmap.mmap(-1, 16 * max(size, 1)), dtype=np.float64)
+            itemsize = np.dtype(dtype).itemsize
+            mapping = np.frombuffer(mmap.mmap(-1, 2 * itemsize * max(size, 1)), dtype=dtype)
         stores[i] = mapping[:size]
         _trace(mapping, size)
     return stores[i][:size].reshape(shape)
 
 
-def dropout(
-    x: np.ndarray, p: float, rng=None, stores: list | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _check_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
+
+
+def dropout(x: np.ndarray, p: float, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted (training-time) dropout; inference does not call it.
 
     Zero each element with probability p and scale survivors by 1/(1-p);
     p == 0 is the identity. Returns (output, keep_mask); the mask is None
     when no dropout was applied and otherwise multiplies upstream gradients
-    in the backward pass. Given `stores` (see `reuse`), the mask and the
-    output are written over an earlier call's; the draw is the same.
+    in the backward pass.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
+    _check_p(p)
     if p == 0.0:
         return x, None
-    stores = [] if stores is None else stores
-    # Draw over every element, padding included, so the rng stream depends
-    # only on x.shape; the draw then becomes the mask in place.
-    keep = reuse(stores, 0, x.shape)
-    rng.random(out=keep)
+    keep = rng.random(x.shape)  # the draw becomes the mask in place
     np.greater_equal(keep, p, out=keep)
     keep *= 1.0 / (1.0 - p)
-    return np.multiply(x, keep, out=reuse(stores, 1, x.shape)), keep
+    return x * keep, keep
+
+
+def dropout_masks(shape, p: float, rng=None, stores: list | None = None) -> np.ndarray | None:
+    """Inverted-dropout keep masks of `shape`, one byte per element; None at p == 0.
+
+    The draw is that of `dropout` over `shape`, made one chunk of
+    shape[-3:] at a time, so no float array of `shape` exists: element e is
+    kept (True) where its draw is >= p. A state h dropped by the mask is
+    h * mask * (1/(1-p)), the bits of `dropout`'s h * keep, because the
+    mask's 1.0 and 0.0 scale exactly. Given `stores` (see `reuse`), the
+    masks are written over an earlier call's.
+    """
+    _check_p(p)
+    if p == 0.0:
+        return None
+    masks = reuse([] if stores is None else stores, 0, shape, dtype=np.bool_)
+    draw = np.empty(shape[-3:])
+    for mask in masks.reshape(-1, *draw.shape):
+        rng.random(out=draw)
+        np.greater_equal(draw, p, out=mask)
+    return masks
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

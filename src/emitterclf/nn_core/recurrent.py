@@ -44,25 +44,34 @@ copied each step. Each store, h_seq included, is a view of a flat buffer
 that the caller may keep from call to call in a store list
 (layers.reuse): training hands each batch the spent cache's buffers,
 reshaped to the batch, and a buffer grows only when a batch needs more
-rows or a longer T.
+rows or a longer T. The backward pass holds only per-step scratch of
+(S, B, ...) rows besides the stores it reads, and writes each step's input
+gradient where its caller asks: into a (T, S, B, Din) array, into a
+one-step scratch, or nowhere.
 
-Steps. One generator per cell (lstm_steps, gru_steps) runs the loop: it
-takes each step's (S, B, Din) input and yields the step's (S, B, H) state,
-carried rows included. Training (lstm_forward, gru_forward) passes offsets
-and keeps every step's stores and every state (h_seq), written over the
-previous batch's when model.forward is handed that batch's spent cache;
-every store is written before it is read, so the results do not depend on
-what the buffers held. Inference (model.forward with training=False)
-passes no offsets and chains one generator per layer, so layer l's state
-at t is layer l+1's input at t: the stores shrink to one step of B rows,
-the states to a two-slot ring, and the LSTM cell state alternates between
-two blocks, as step t reads step t-1's c. Every product and elementwise
-pass keeps its shape and order, so the states are bit-identical either
-way. model.forward's inference also runs the groups in blocks, one
-generator chain per block of groups over the parameter slices [lo:hi], in
-threads: the groups never mix, and a stacked matmul is one product per
-group at the shape it has in the whole S, so a block's states are the bits
-of its groups in the whole S.
+Steps. One generator per cell and direction runs the loop. lstm_steps
+and gru_steps take each step's (S, B, Din) input and yield the step's
+(S, B, H) state, carried rows included. With offsets they keep every
+step's stores and every state (h_seq), written over the previous batch's
+when model.forward is handed that batch's spent cache; every store is
+written before it is read, so the results do not depend on what the
+buffers held. Without offsets they keep one step of B rows, the states in
+a two-slot ring, and the LSTM cell state alternates between two blocks,
+as step t reads step t-1's c. lstm_back_steps and gru_back_steps step
+back from t = T-1 to 0: they take each step's input and the upstream
+gradient on its state, and yield the step's input gradient. model.forward
+and model.backward chain one generator per layer, in training as in
+inference, so layer l's state at t is layer l+1's input at t, and layer
+l+1's input gradient at t is layer l's upstream gradient at t.
+lstm_forward/lstm_backward and gru_forward/gru_backward drive one
+generator over a whole (T, S, B, Din) input; the oracle tests check the
+step generators through them. Every product and elementwise pass keeps its
+shape and order, so the states and gradients are bit-identical whichever
+way the generators are driven. model.forward's inference also runs the
+groups in blocks, one generator chain per block of groups over the
+parameter slices [lo:hi], in threads: the groups never mix, and a stacked
+matmul is one product per group at the shape it has in the whole S, so a
+block's states are the bits of its groups in the whole S.
 
 Sigmoid through tanh. sigmoid(z) = 0.5 * (tanh(z / 2) + 1) never overflows,
 even for raw-unit inputs. The sigmoid gates' columns of W, U and b are
@@ -106,10 +115,12 @@ __all__ = [
     "lstm_steps",
     "lstm_forward",
     "lstm_backward",
+    "lstm_back_steps",
     "init_gru_params",
     "gru_steps",
     "gru_forward",
     "gru_backward",
+    "gru_back_steps",
 ]
 
 
@@ -169,15 +180,29 @@ def init_lstm_params(groups: int, input_size: int, hidden_size: int, rng):
     return W, U, b
 
 
-def _run_steps(step_fn, params, x, lengths, stores):
-    """Drive a step generator over all of x (T, S, B, Din); see lstm_forward."""
-    active, offsets = active_rows(lengths, x.shape[0], x.shape[2])
-    steps = step_fn(*params, x, active, offsets, stores)
+def _drain(steps):
+    """Run a step generator to its end and return what it returns."""
     try:
         while True:
             next(steps)
-    except StopIteration as done:  # the generator returns its stores, then h_seq
-        return done.value[-1], (x, *done.value, active, offsets)
+    except StopIteration as done:
+        return done.value
+
+
+def _run_steps(step_fn, params, x, lengths, stores):
+    """Drive a step generator over all of x (T, S, B, Din); see lstm_forward."""
+    active, offsets = active_rows(lengths, x.shape[0], x.shape[2])
+    kept = _drain(step_fn(*params, x, active, offsets, stores))  # its stores, then h_seq
+    return kept[-1], (x, *kept, active, offsets)
+
+
+def _input_grad(dz, Wt, dx, t: int, n: int):
+    """dx[t % len(dx)] = dz W^T on the step's n active rows, or None when dx is None."""
+    if dx is None:
+        return None
+    dx_t = dx[t % len(dx)]
+    np.matmul(dz, Wt, out=dx_t[:, :n])
+    return dx_t
 
 
 def lstm_steps(W, U, b, xs, active, offsets, stores=None):
@@ -251,11 +276,27 @@ def lstm_backward(W, U, b, cache, dh_seq):
     carried rows flow back to the last active step). Returns
     (dW, dU, db, dx).
     """
-    x, acts, c_store, tc_store, h_seq, active, offsets = cache
-    T, S, B, Din = x.shape
-    H = U.shape[1]
-    blk = S * H
+    x, *stores, active, offsets = cache
     dx = np.zeros_like(x)
+    steps = lstm_back_steps(W, U, b, stores, x[::-1], dh_seq[::-1], active, offsets, dx)
+    return (*_drain(steps), dx)
+
+
+def lstm_back_steps(W, U, b, stores, xs, dhs, active, offsets, dx=None):
+    """Step lstm_steps' gradients back from t = T-1 to 0: yield each step's dx.
+
+    stores: what lstm_steps returned with offsets. xs and dhs yield, for
+    t = T-1 down to 0, the step's (S, B, Din) input and the upstream
+    gradient on its (S, B, H) state. dx_t goes to dx[t % len(dx)], where dx
+    is (T, S, B, Din) or a (1, S, B, Din) scratch that the consumer reads
+    before the next step; rows at or past active[t] are not written. With
+    dx=None no dx is computed and each step yields None. Returns
+    (dW, dU, db).
+    """
+    acts, c_store, tc_store, h_seq = stores
+    S, H = U.shape[:2]
+    B = active[0]
+    blk = S * H
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros_like(b)
@@ -266,7 +307,9 @@ def lstm_backward(W, U, b, cache, dh_seq):
     packed_store = np.empty(4 * blk * B)
     Ut = np.ascontiguousarray(U.transpose(0, 2, 1))
     Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
-    for t in range(T - 1, -1, -1):
+    t = len(active)
+    for dh_up, x_t in zip(dhs, xs):  # dhs first: its end is the layer above's end
+        t -= 1
         n = active[t]
         lo, hi = blk * offsets[t], blk * offsets[t + 1]
         a = acts[4 * lo : 4 * hi].reshape(4, S, n, H)
@@ -277,7 +320,7 @@ def lstm_backward(W, U, b, cache, dh_seq):
             h_prev = h_seq[t - 1, :, :n]
         else:
             c_prev = h_prev = zeros[:, :n]
-        dh += dh_seq[t]
+        dh += dh_up
         dh_t = dh[:, :n]
         dc_t = dc[:, :n]
         dcn = dh_t * o
@@ -297,11 +340,11 @@ def lstm_backward(W, U, b, cache, dh_seq):
         packed[...] = dz.transpose(1, 2, 0, 3)
         dz = packed.reshape(S, n, 4 * H)
         np.matmul(dz, Ut, out=dh_t)
-        dW += np.matmul(x[t, :, :n].transpose(0, 2, 1), dz)
+        dW += np.matmul(x_t[:, :n].transpose(0, 2, 1), dz)
         dU += np.matmul(h_prev.transpose(0, 2, 1), dz)
         db += dz.sum(axis=1)
-        np.matmul(dz, Wt, out=dx[t, :, :n])
-    return dW, dU, db, dx
+        yield _input_grad(dz, Wt, dx, t, n)
+    return dW, dU, db
 
 
 def init_gru_params(groups: int, input_size: int, hidden_size: int, rng):
@@ -363,11 +406,18 @@ def gru_forward(W, U_ru, U_n, b, x, lengths=None, stores=None):
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):
     """Exact gradients of gru_forward. Returns (dW, dU_ru, dU_n, db, dx)."""
-    x, acts, rh_store, h_seq, active, offsets = cache
-    T, S, B, Din = x.shape
-    H = U_n.shape[1]
-    blk = S * H
+    x, *stores, active, offsets = cache
     dx = np.zeros_like(x)
+    steps = gru_back_steps(W, U_ru, U_n, b, stores, x[::-1], dh_seq[::-1], active, offsets, dx)
+    return (*_drain(steps), dx)
+
+
+def gru_back_steps(W, U_ru, U_n, b, stores, xs, dhs, active, offsets, dx=None):
+    """Step gru_steps' gradients back; mirrors lstm_back_steps. Returns (dW, dU_ru, dU_n, db)."""
+    acts, rh_store, h_seq = stores
+    S, H = U_n.shape[:2]
+    B = active[0]
+    blk = S * H
     dW = np.zeros_like(W)
     dU_ru = np.zeros_like(U_ru)
     dU_n = np.zeros_like(U_n)
@@ -379,14 +429,16 @@ def gru_backward(W, U_ru, U_n, b, cache, dh_seq):
     U_ru_t = np.ascontiguousarray(U_ru.transpose(0, 2, 1))
     U_n_t = np.ascontiguousarray(U_n.transpose(0, 2, 1))
     Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
-    for t in range(T - 1, -1, -1):
+    t = len(active)
+    for dh_up, x_t in zip(dhs, xs):  # dhs first: its end is the layer above's end
+        t -= 1
         n = active[t]
         lo, hi = blk * offsets[t], blk * offsets[t + 1]
         a = acts[3 * lo : 3 * hi].reshape(3, S, n, H)
         r, u, n_gate = a
         rh = rh_store[lo:hi].reshape(S, n, H)
         h_prev = h_seq[t - 1, :, :n] if t > 0 else zeros[:, :n]
-        dh += dh_seq[t]
+        dh += dh_up
         dh_t = dh[:, :n]
         dz = dz_store[: 3 * blk * n].reshape(3, S, n, H)
         np.subtract(h_prev, n_gate, out=dz[1])
@@ -406,8 +458,8 @@ def gru_backward(W, U_ru, U_n, b, cache, dh_seq):
         dz = packed.reshape(S, n, 3 * H)
         np.matmul(dz[..., : 2 * H], U_ru_t, out=dh_t)
         dh_t += dh_prev
-        dW += np.matmul(x[t, :, :n].transpose(0, 2, 1), dz)
+        dW += np.matmul(x_t[:, :n].transpose(0, 2, 1), dz)
         dU_ru += np.matmul(h_prev.transpose(0, 2, 1), dz[..., : 2 * H])
         db += dz.sum(axis=1)
-        np.matmul(dz, Wt, out=dx[t, :, :n])
-    return dW, dU_ru, dU_n, db, dx
+        yield _input_grad(dz, Wt, dx, t, n)
+    return dW, dU_ru, dU_n, db

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -31,6 +32,7 @@ from emitterclf.normalize import NormalizedBatch, build_batch, fit_domain_stats,
 from emitterclf.seeding import derive_rng
 
 from conftest import predict
+from reference_model import ref_backward, ref_train_forward
 
 
 def _cfg(**kw):
@@ -418,6 +420,96 @@ def test_lockstep_inference_matches_caching_forward(
     assert got.tobytes() == want.tobytes()
     if shut:
         assert feats[0].tobytes() == np.full(feats[0].shape, -0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arch=st.sampled_from(sorted(_RECURRENT_CONFIGS)),
+    layers=st.integers(1, 3),
+    dropout=st.sampled_from([0.0, 0.3]),
+    hidden=st.sampled_from([1, 3, 8]),
+    batches=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=7), min_size=1, max_size=3),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # the second batch needs more rows and a longer T than the spent stores hold
+    arch="attribute_specific_lstm", layers=3, dropout=0.3, hidden=3,
+    batches=[[2, 1], [9, 4, 7, 1]], extra=1, seed=0,
+)
+@example(
+    arch="gru_discretized", layers=2, dropout=0.3, hidden=3,
+    batches=[[5, 2, 6], [1, 3]], extra=0, seed=1,
+)
+def test_training_pass_matches_layer_by_layer_reference(
+    arch, layers, dropout, hidden, batches, extra, seed
+):
+    """The chained training forward and backward give the bytes of the
+    layer-by-layer pass with slab dropout (tests/reference_model.py): logits,
+    every gradient and the dropout rng's state after forward. Each batch
+    after the first is handed the previous one's spent cache, its float
+    stores filled with NaN and its masks with True, so a stale read shows."""
+    rng = np.random.default_rng(seed)
+    kw = dict(_RECURRENT_CONFIGS[arch], hidden=hidden)
+    cfg = _cfg(architecture=arch, layers=layers, dropout=dropout, **kw)
+    model = build(cfg, seed=seed % 1000)
+    for p in model.params.values():
+        p += 0.5 * rng.normal(size=p.shape)
+    cache = None
+    for k, lengths in enumerate(batches):
+        b, t = len(lengths), max(lengths) + extra
+        shape = (b, t, cfg.channels)
+        if arch == "gru_discretized":
+            channels = rng.integers(0, cfg.bins, size=shape)
+        else:
+            channels = rng.normal(scale=3.0, size=shape)
+        channels[np.arange(t)[None, :] >= np.array(lengths)[:, None]] = 0
+        batch = NormalizedBatch(
+            channels=channels, lengths=np.array(lengths), labels=np.zeros(b, dtype=np.int64)
+        )
+        dlogits = rng.normal(size=(b, cfg.num_classes))
+        for buf in itertools.chain.from_iterable(cache["stores"] if cache else []):
+            buf.fill(np.nan if buf.dtype.kind == "f" else True)
+        got_rng, want_rng = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+        logits, cache = forward(model, batch, training=True, rng=got_rng, spent=cache)
+        want_logits, want_cache = ref_train_forward(model, batch, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert logits.tobytes() == want_logits.tobytes()
+        grads = backward(model, cache, dlogits)
+        want = ref_backward(model, want_cache, dlogits)
+        assert list(grads) == list(want)  # the order global_grad_norm sums in
+        assert grads.keys() == model.params.keys()
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+def test_training_pass_holds_no_time_slab_beyond_its_stores():
+    """One forward+backward of the proposed model (T=128, S=6, B=32, H=16,
+    L=2, dropout 0.3) peaks less than one (T, S, B, H) float64 slab above
+    its layers' kernel stores (gate activations, c, tanh c and h_seq). The
+    layer-by-layer pass held four such slabs more: the dropout keep mask and
+    output, the top layer's upstream gradient and layer 1's input gradient."""
+    cfg = _cfg(hidden=16, dropout=0.3, num_classes=17)
+    model = build(cfg, seed=0)
+    t, b, s, h = 128, 32, cfg.stacks, cfg.hidden
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, t + 1, size=b)
+    lengths[0] = t
+    batch = NormalizedBatch(
+        channels=rng.uniform(-1.0, 1.0, size=(b, t, cfg.channels)),
+        lengths=lengths,
+        labels=np.zeros(b, dtype=np.int64),
+    )
+    rows = int(lengths.sum())  # active rows over all steps
+    slab = 8 * t * s * b * h
+    stores = cfg.layers * (8 * 6 * s * h * rows + slab)
+    tracemalloc.start()
+    try:
+        logits, cache = forward(model, batch, training=True, rng=derive_rng(0, "dropout"))
+        backward(model, cache, np.ones_like(logits))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stores + slab
 
 
 def test_inference_forward_holds_no_time_slab():

@@ -25,7 +25,7 @@ from emitterclf.nn_core import (
     softmax,
     weighted_cross_entropy,
 )
-from emitterclf.nn_core.layers import reuse
+from emitterclf.nn_core.layers import dropout_masks, reuse
 from emitterclf.seeding import derive_rng
 
 EPS = 1e-5
@@ -332,6 +332,21 @@ def test_embedding_backward_equals_add_at(vocab, dim, rows, zero_frac, seed):
     want = np.zeros_like(table)
     np.add.at(want, ids, dout)
     assert embedding_backward(table, ids, dout).tobytes() == want.tobytes()
+
+
+def test_dropout_masks_draw_dropouts_stream():
+    """The one-byte masks, drawn one (S, B, H) chunk at a time, keep what one
+    dropout draw over the whole shape keeps, and leave the rng where it does."""
+    shape = (2, 5, 3, 4, 6)
+    masks = dropout_masks(shape, 0.3, derive_rng(7), stores := [])
+    rng = derive_rng(7)
+    _, keep = dropout(np.ones(shape), 0.3, rng)
+    assert masks.dtype == np.bool_ and np.shares_memory(masks, stores[0])
+    assert np.array_equal(masks, keep != 0.0)
+    after = derive_rng(7)
+    dropout_masks(shape, 0.3, after)
+    assert after.bit_generator.state == rng.bit_generator.state
+    assert dropout_masks(shape, 0.0) is None
 
 
 def test_fc_pass_through_and_bias():
