@@ -9,7 +9,11 @@ those. A last line hashes the 4 confusion matrices again, from `evaluate`
 at batch_size=2: the micro test split's 6 sequences then take 3 batches,
 whose predictions must go back to their own sequences. A last line hashes
 the proposed model's trained parameters, epoch losses and logits at 3
-layers, where two inter-layer dropout draws must keep their order. Before all that it
+layers, where two inter-layer dropout draws must keep their order. Two
+more lines hash the proposed model and the GRU trained at clip_norm 1e-3,
+where every batch clips: the clipped bits depend on the order in which
+backward fills the gradient dict, as global_grad_norm sums in that order,
+and micro at the default clip norm never clips. Before all that it
 prints, for each of the micro, paperlike_small and paperlike presets, a
 sha256 of the serialized dataset (the text `save_dataset` writes) that the
 preset generates at its config seed, the same sha256 after a
@@ -99,6 +103,14 @@ def main() -> None:
     )
     parts, _ = _train_and_hash(deep, train_ds, test_ds, train_cfg)
     print("attribute_specific_lstm layers=3", *(p[:12] for p in parts))
+    clipping = dataclasses.replace(train_cfg, clip_norm=1e-3)
+    for arch in ("attribute_specific_lstm", "gru_discretized"):
+        model_cfg = dataclasses.replace(
+            base, architecture=arch, scheme=SCHEMES[arch],
+            hidden=args.hidden, dropout=args.dropout, embed_dim=4,
+        )
+        parts, _ = _train_and_hash(model_cfg, train_ds, test_ds, clipping)
+        print(arch, "clip_norm=1e-3", *(p[:12] for p in parts))
 
 
 def _train_and_hash(model_cfg, train_ds, test_ds, train_cfg):

@@ -28,8 +28,9 @@ block per usable CPU and steps the blocks in threads; see `forward`. The
 adapters are: one single-channel stream per stack
 (attribute-specific LSTM), the full channel vector as one stream (joint
 LSTM), and embedding lookup of the discretized attributes, whose gradient
-is layer 0's input gradient (GRU). `_RECURRENT` names each architecture's
-cell and the parameter suffixes in kernel argument order.
+is layer 0's input gradient (GRU). `_RECURRENT` maps each architecture to
+its cell record, `recurrent.LSTM` or `recurrent.GRU`; every layer of both
+steps through `recurrent.steps` and `recurrent.back_steps`.
 
 With training=True, dropout is applied between stacked recurrent layers and
 before the final FC layer. Checkpoints store named float64 tensors plus the
@@ -58,19 +59,17 @@ from .nn_core import (
     fc_forward,
     init_embedding,
     init_fc,
-    init_gru_params,
-    init_lstm_params,
     relu_backward,
     relu_forward,
 )
 
-# The stacks call none of these whole-sequence kernels: they chain the step
-# generators imported below. The kernels stay bound in this module because
-# perfbench's tracer wraps `emitterclf.model.<name>` for each of them and
-# refuses to run when a name is missing.
+# The stacks call none of these whole-sequence kernels: they chain `steps`
+# and `back_steps`. The four per-cell bindings stay bound in this module
+# only because perfbench's tracer wraps `emitterclf.model.<name>` for each
+# of them and refuses to run when a name is missing.
 from .nn_core import gru_backward, gru_forward, lstm_backward, lstm_forward  # noqa: F401
 from .nn_core.layers import dropout_masks
-from .nn_core.recurrent import active_rows, gru_back_steps, gru_steps, lstm_back_steps, lstm_steps
+from .nn_core.recurrent import GRU, LSTM, active_rows, back_steps, steps
 from .normalize import (
     DEFAULT_BINS,
     SCHEMES,
@@ -169,15 +168,15 @@ class SequenceClassifier:
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-# Recurrent architectures: (cell, parameter suffixes in kernel argument
-# order). Layer l's tensors are named f"{cell}{l}.{suffix}". The step
-# generators are looked up by name in this module's globals at call time,
-# so a rebinding of `emitterclf.model.lstm_steps` takes effect.
-_RECURRENT = {
-    "attribute_specific_lstm": ("lstm", ("W", "U", "b")),
-    "joint_lstm": ("lstm", ("W", "U", "b")),
-    "gru_discretized": ("gru", ("W", "U_ru", "U_n", "b")),
-}
+# Recurrent architectures and their cells. Layer l's tensors are named
+# f"{cell.name}{l}.{suffix}", the suffixes in the cell's argument order.
+_RECURRENT = {"attribute_specific_lstm": LSTM, "joint_lstm": LSTM, "gru_discretized": GRU}
+
+
+def _layer_names(cfg: ModelConfig) -> list[list[str]]:
+    """Each recurrent layer's tensor names, in its cell's argument order."""
+    cell = _RECURRENT[cfg.architecture]
+    return [[f"{cell.name}{layer}.{s}" for s in cell.suffixes] for layer in range(cfg.layers)]
 
 
 def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
@@ -185,18 +184,16 @@ def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
     rng = derive_rng(seed, "init")
     params: dict[str, np.ndarray] = {}
     if cfg.architecture in _RECURRENT:
-        cell, suffixes = _RECURRENT[cfg.architecture]
         if cfg.architecture == "gru_discretized":
             for j in cfg.gru_attributes:
                 params[f"emb{j}"] = init_embedding(cfg.bins, cfg.embed_dim, rng)
             din = len(cfg.gru_attributes) * cfg.embed_dim
         else:  # the channels, one per stack or all in one
             din = cfg.channels // cfg.stacks
-        init = init_lstm_params if cell == "lstm" else init_gru_params
-        for layer in range(cfg.layers):
+        init = _RECURRENT[cfg.architecture].init
+        for layer, names in enumerate(_layer_names(cfg)):
             tensors = init(cfg.stacks, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
-            for suffix, t in zip(suffixes, tensors):
-                params[f"{cell}{layer}.{suffix}"] = t
+            params.update(zip(names, tensors))
         fc_in = cfg.stacks * cfg.hidden
     elif cfg.architecture == "stats_mlp":
         sizes = (2 * cfg.channels,) + cfg.mlp_hidden
@@ -293,7 +290,7 @@ def _dropped(states, masks, scale: float):
         yield out
 
 
-def _chain(steps, layers, x, active, offsets=None, stores=None, masks=None, scale=1.0):
+def _chain(cell, layers, x, active, offsets=None, stores=None, masks=None, scale=1.0):
     """The stack's chain of step generators over x (T, S, B, Din) -> (top, kept).
 
     Layer l's state at t, times masks[l][t] * scale when masks is given
@@ -308,7 +305,7 @@ def _chain(steps, layers, x, active, offsets=None, stores=None, masks=None, scal
     for layer, params in enumerate(layers):
         if layer and masks is not None:
             states = _dropped(states, masks[layer - 1], scale)
-        gen = steps(*params, states, active, offsets, None if stores is None else stores[layer])
+        gen = steps(cell, params, states, active, offsets, None if stores is None else stores[layer])
         states = _keeping(gen, kept, layer)
     return states, kept
 
@@ -320,7 +317,7 @@ def _last(states):
     return last
 
 
-def _lockstep(steps, layers, x, lengths):
+def _lockstep(cell, layers, x, lengths):
     """Inference over x (T, S, B, Din) in _split_width(S) blocks of groups -> (S, B, H) readout.
 
     Each block [lo, hi) runs the chain (`_chain`) over the parameter slices
@@ -337,7 +334,7 @@ def _lockstep(steps, layers, x, lengths):
     width = _split_width(S)  # 1 for the single-stack architectures
 
     def chain(lo, hi):
-        top, _ = _chain(steps, [[a[lo:hi] for a in params] for params in layers], x[:, lo:hi], active)
+        top, _ = _chain(cell, [[a[lo:hi] for a in params] for params in layers], x[:, lo:hi], active)
         return itertools.chain([next(top)], top)
 
     bounds = [(S * k // width, S * (k + 1) // width) for k in range(width)]
@@ -350,7 +347,7 @@ def _lockstep(steps, layers, x, lengths):
     return np.concatenate(parts)
 
 
-def _back_chain(back_steps, layers, cache, top, dx0) -> list:
+def _back_chain(cell, layers, cache, top, dx0) -> list:
     """The mirror of the training chain: each layer's parameter gradients.
 
     One reverse step generator per layer, from t = T-1 down to 0. The top
@@ -374,7 +371,7 @@ def _back_chain(back_steps, layers, cache, top, dx0) -> list:
             if masks is not None:
                 xs = _dropped(xs, masks[layer - 1][::-1], scale)
             dx = np.zeros((1, *top.shape))
-        gen = back_steps(*layers[layer], kept[layer], xs, dhs, active, offsets, dx)
+        gen = back_steps(cell, layers[layer], kept[layer], xs, dhs, active, offsets, dx)
         dhs = _keeping(gen, grads, layer)
         if layer and masks is not None:
             dhs = _dropped(dhs, masks[layer - 1][::-1], scale)
@@ -431,11 +428,10 @@ def forward(
         stores = spent.pop("stores", None)
         spent.clear()
     if cfg.architecture in _RECURRENT:
-        cell, suffixes = _RECURRENT[cfg.architecture]
-        steps = globals()[f"{cell}_steps"]
+        cell = _RECURRENT[cfg.architecture]
         x, order = _recurrent_input(cfg, p, batch)
         lengths = batch.lengths[order]
-        layers = [[p[f"{cell}{layer}.{s}"] for s in suffixes] for layer in range(cfg.layers)]
+        layers = [[p[n] for n in names] for names in _layer_names(cfg)]
         if training:
             if stores is None:  # one list per layer, then the inter-layer masks'
                 stores = [[] for _ in range(cfg.layers + 1)]
@@ -444,7 +440,7 @@ def forward(
             shape = (cfg.layers - 1, T, S, B, cfg.hidden)
             masks = dropout_masks(shape, cfg.dropout, rng, stores=stores[-1])
             scale = 1.0 / (1.0 - cfg.dropout)
-            top, kept = _chain(steps, layers, x, active, offsets, stores, masks, scale)
+            top, kept = _chain(cell, layers, x, active, offsets, stores, masks, scale)
             feats = _last(top)
             cache.update(
                 stores=stores,
@@ -456,10 +452,10 @@ def forward(
                 offsets=offsets,
                 order=order,
                 lengths=lengths,
-                ids=batch.channels[order] if cell == "gru" else None,  # for the embedding grads
+                ids=batch.channels[order] if cell is GRU else None,  # for the embedding grads
             )
         else:
-            feats = _lockstep(steps, layers, x, lengths)
+            feats = _lockstep(cell, layers, x, lengths)
         feats = _flatten(feats)[np.argsort(order)]
     elif cfg.architecture == "stats_mlp":
         x = batch.channels.astype(np.float64, copy=False)
@@ -503,15 +499,13 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
         dfeats = dfeats * cache["fc_drop"]
 
     if cfg.architecture in _RECURRENT:
-        cell, suffixes = _RECURRENT[cfg.architecture]
-        names = [[f"{cell}{layer}.{s}" for s in suffixes] for layer in range(cfg.layers)]
+        cell = _RECURRENT[cfg.architecture]
+        names = _layer_names(cfg)
         x = cache["x"]
         _, S, B, _ = x.shape
         top = dfeats[cache["order"]].reshape(B, S, -1).transpose(1, 0, 2)
-        dx0 = np.zeros(x.shape) if cell == "gru" else None  # the LSTM's layer-0 dx has no reader
-        dparams = _back_chain(
-            globals()[f"{cell}_back_steps"], [[p[n] for n in ns] for ns in names], cache, top, dx0
-        )
+        dx0 = np.zeros(x.shape) if cell is GRU else None  # the LSTM's layer-0 dx has no reader
+        dparams = _back_chain(cell, [[p[n] for n in ns] for ns in names], cache, top, dx0)
         for layer in range(cfg.layers - 1, -1, -1):  # top first: global_grad_norm sums in this order
             grads.update(zip(names[layer], dparams[layer]))
         _recurrent_input_backward(cfg, p, cache, dx0, grads)

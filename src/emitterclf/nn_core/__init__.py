@@ -1,9 +1,10 @@
 """From-scratch neural network kernel (numpy, float64).
 
-Grouped LSTM/GRU layers with masking for variable-length batches, full
-backpropagation through time, fully-connected / embedding / dropout layers,
-stable softmax, median-frequency class weighting, weighted cross-entropy
-with fused gradient, Adam, and global-norm gradient clipping.
+Grouped LSTM/GRU layers (one forward and one reverse step loop, which both
+cells drive) with masking for variable-length batches, full BPTT,
+fully-connected / embedding / dropout layers, stable softmax,
+median-frequency class weighting, weighted cross-entropy with fused
+gradient, Adam, and global-norm gradient clipping.
 """
 
 from .layers import (

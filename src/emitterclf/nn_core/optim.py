@@ -25,14 +25,12 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients (in place) so the global norm never exceeds max_norm."""
-    norm = global_grad_norm(grads)
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, norm: float) -> None:
+    """Scale all gradients in place from their global_grad_norm `norm` to at most max_norm."""
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
-    return grads
 
 
 class Adam:

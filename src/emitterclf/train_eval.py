@@ -157,7 +157,7 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite gradient norm at epoch {epoch}, batch {bi} (loss {loss:.6g})"
                 )
-            clip_gradients(grads, cfg.clip_norm)
+            clip_gradients(grads, cfg.clip_norm, gnorm)
             optimizer.step(model.params, grads)
             batch_losses.append(loss)
             del grads, logits, probs, dlogits  # only the spent cache outlives the batch

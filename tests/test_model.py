@@ -684,14 +684,14 @@ def test_inference_stores_come_from_the_calling_thread(small_dataset, monkeypatc
 
     monkeypatch.setattr(recurrent_module, "reuse", reuse)
     stepped = set()
-    real_steps = model_module.lstm_steps
+    real_steps = model_module.steps
 
     def steps(*args):
         for state in real_steps(*args):
             stepped.add(threading.get_ident())
             yield state
 
-    monkeypatch.setattr(model_module, "lstm_steps", steps)
+    monkeypatch.setattr(model_module, "steps", steps)
     cfg = _cfg()
     forward(build(cfg, seed=4), _batch(small_dataset, cfg, fit_domain_stats(small_dataset)))
     assert len(stepped) == 2  # a worker thread did step a block
@@ -707,7 +707,7 @@ def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where
     worker's."""
     monkeypatch.setattr(model_module, "_split_width", lambda groups: 3)
     caller = threading.get_ident()
-    real_steps = model_module.lstm_steps
+    real_steps = model_module.steps
     alive = []
 
     def steps(*args):
@@ -717,7 +717,7 @@ def test_block_exception_surfaces_from_forward(small_dataset, monkeypatch, where
                 raise RuntimeError(f"{where} block failed")
             yield state
 
-    monkeypatch.setattr(model_module, "lstm_steps", steps)
+    monkeypatch.setattr(model_module, "steps", steps)
     cfg = _cfg()
     batch = _batch(small_dataset, cfg, fit_domain_stats(small_dataset))
     threads = threading.active_count()

@@ -495,14 +495,14 @@ def test_adam_identical_tensors_stay_identical():
 
 def test_clip_below_threshold_unchanged():
     grads = {"w": np.array([0.3, 0.4])}
-    clip_gradients(grads, 1.0)
+    clip_gradients(grads, 1.0, global_grad_norm(grads))
     assert np.array_equal(grads["w"], [0.3, 0.4])
 
 
 def test_clip_scales_to_exact_norm_and_keeps_direction():
     grads = {"w": np.array([3.0, 4.0]), "v": np.array([12.0])}
     before = np.concatenate([grads["w"], grads["v"]])
-    clip_gradients(grads, 5.0)
+    clip_gradients(grads, 5.0, global_grad_norm(grads))
     after = np.concatenate([grads["w"], grads["v"]])
     assert global_grad_norm(grads) == pytest.approx(5.0, abs=1e-12)
     cos = float(before @ after / (np.linalg.norm(before) * np.linalg.norm(after)))
