@@ -216,8 +216,9 @@ def load_dataset(path) -> Dataset:
     if len(lines) < 2 or not lines[1].startswith("classes "):
         raise DatasetFormatError(f"{path}: missing 'classes <C>' line")
     try:
-        num_classes = int(lines[1].split()[1])
-    except (IndexError, ValueError):
+        _, count = lines[1].split()  # exactly 'classes <C>'
+        num_classes = int(count)
+    except ValueError:
         raise DatasetFormatError(f"{path}: malformed classes line: {lines[1]!r}")
     if num_classes < 1:
         raise DatasetFormatError(f"{path}: classes line {lines[1]!r}: the count must be >= 1")

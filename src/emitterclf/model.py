@@ -68,7 +68,6 @@ from .nn_core import (
 # only because perfbench's tracer wraps `emitterclf.model.<name>` for each
 # of them and refuses to run when a name is missing.
 from .nn_core import gru_backward, gru_forward, lstm_backward, lstm_forward  # noqa: F401
-from .nn_core.layers import dropout_masks
 from .nn_core.recurrent import GRU, LSTM, active_rows, back_steps, steps
 from .normalize import (
     DEFAULT_BINS,
@@ -393,9 +392,10 @@ def forward(
     `backward`. training=False (inference) applies no dropout and returns
     (logits, None). Both step the recurrent layers together, one layer's
     state at t being the next layer's input at t. Training keeps each
-    layer's BPTT stores, and its inter-layer dropout masks are one byte
-    per element, all drawn before any layer steps, in layer order, as one
-    slab draw per layer boundary would draw them. Inference keeps a
+    layer's BPTT stores. Its dropout masks are one byte per element
+    (layers.dropout): the inter-layer masks all drawn before any layer
+    steps, in layer order, as one slab draw per layer boundary would draw
+    them, then the FC layer's mask. Inference keeps a
     two-slot ring of (S, B, H) states per layer, so no (T, S, B, H) array
     exists. At dropout 0 the logits are bit-identical either way.
 
@@ -422,7 +422,8 @@ def forward(
     if training and cfg.dropout > 0.0 and rng is None:
         raise ValueError(f"forward(training=True) at dropout {cfg.dropout} needs an rng")
     p = model.params
-    cache: dict = {}
+    scale = 1.0 / (1.0 - cfg.dropout)  # what dropout scales the kept elements by
+    cache: dict = {"scale": scale}
     stores = None
     if spent:  # keep its stores; free the rest of it before this batch allocates
         stores = spent.pop("stores", None)
@@ -438,8 +439,7 @@ def forward(
             T, S, B, _ = x.shape
             active, offsets = active_rows(lengths, T, B)
             shape = (cfg.layers - 1, T, S, B, cfg.hidden)
-            masks = dropout_masks(shape, cfg.dropout, rng, stores=stores[-1])
-            scale = 1.0 / (1.0 - cfg.dropout)
+            masks = dropout(shape, cfg.dropout, rng, stores=stores[-1])
             top, kept = _chain(cell, layers, x, active, offsets, stores, masks, scale)
             feats = _last(top)
             cache.update(
@@ -447,7 +447,6 @@ def forward(
                 x=x,
                 kept=kept,
                 masks=masks,
-                scale=scale,
                 active=active,
                 offsets=offsets,
                 order=order,
@@ -477,9 +476,12 @@ def forward(
 
     if not training:
         return fc_forward(feats, p["fc.W"], p["fc.b"]), None
-    feats_d, fc_drop = dropout(feats, cfg.dropout, rng)
-    cache.update(feats_d=feats_d, fc_drop=fc_drop)
-    return fc_forward(feats_d, p["fc.W"], p["fc.b"]), cache
+    fc_mask = dropout(feats.shape, cfg.dropout, rng)
+    if fc_mask is not None:
+        feats = feats * fc_mask
+        feats *= scale
+    cache.update(feats_d=feats, fc_mask=fc_mask)
+    return fc_forward(feats, p["fc.W"], p["fc.b"]), cache
 
 
 def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -495,8 +497,9 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
     dW, db, dfeats = fc_backward(cache["feats_d"], p["fc.W"], dlogits)
     grads["fc.W"] = dW
     grads["fc.b"] = db
-    if cache["fc_drop"] is not None:
-        dfeats = dfeats * cache["fc_drop"]
+    if cache["fc_mask"] is not None:
+        dfeats *= cache["fc_mask"]
+        dfeats *= cache["scale"]
 
     if cfg.architecture in _RECURRENT:
         cell = _RECURRENT[cfg.architecture]

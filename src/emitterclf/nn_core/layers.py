@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import ctypes
 import math
 import mmap
-import tracemalloc
-import weakref
 
 import numpy as np
 
@@ -16,7 +13,6 @@ __all__ = [
     "fc_forward",
     "fc_backward",
     "dropout",
-    "dropout_masks",
     "reuse",
     "relu_forward",
     "relu_backward",
@@ -47,21 +43,6 @@ def fc_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dW, db, dx)."""
     return x.T @ dy, dy.sum(axis=0), dy @ W.T
-
-
-_NUMPY_TRACE_DOMAIN = 389047  # the tracemalloc domain of numpy's data buffers
-_TRACK = ctypes.pythonapi.PyTraceMalloc_Track
-_TRACK.argtypes, _TRACK.restype = [ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t], ctypes.c_int
-_UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
-_UNTRACK.argtypes, _UNTRACK.restype = [ctypes.c_uint, ctypes.c_size_t], ctypes.c_int
-
-
-def _trace(mapping: np.ndarray, used: int) -> None:
-    """While tracemalloc traces, report a mapping's first `used` values, as numpy reports its buffers."""
-    if tracemalloc.is_tracing():
-        ptr = mapping.ctypes.data
-        _TRACK(_NUMPY_TRACE_DOMAIN, ptr, mapping.itemsize * used)  # a tracked pointer takes the new size
-        weakref.finalize(mapping, _UNTRACK, _NUMPY_TRACE_DOMAIN, ptr)
 
 
 def reuse(stores: list, i: int, shape, dtype=np.float64) -> np.ndarray:
@@ -97,43 +78,20 @@ def reuse(stores: list, i: int, shape, dtype=np.float64) -> np.ndarray:
             itemsize = np.dtype(dtype).itemsize
             mapping = np.frombuffer(mmap.mmap(-1, 2 * itemsize * max(size, 1)), dtype=dtype)
         stores[i] = mapping[:size]
-        _trace(mapping, size)
     return stores[i][:size].reshape(shape)
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-
-
-def dropout(x: np.ndarray, p: float, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted (training-time) dropout; inference does not call it.
-
-    Zero each element with probability p and scale survivors by 1/(1-p);
-    p == 0 is the identity. Returns (output, keep_mask); the mask is None
-    when no dropout was applied and otherwise multiplies upstream gradients
-    in the backward pass.
-    """
-    _check_p(p)
-    if p == 0.0:
-        return x, None
-    keep = rng.random(x.shape)  # the draw becomes the mask in place
-    np.greater_equal(keep, p, out=keep)
-    keep *= 1.0 / (1.0 - p)
-    return x * keep, keep
-
-
-def dropout_masks(shape, p: float, rng=None, stores: list | None = None) -> np.ndarray | None:
+def dropout(shape, p: float, rng=None, stores: list | None = None) -> np.ndarray | None:
     """Inverted-dropout keep masks of `shape`, one byte per element; None at p == 0.
 
-    The draw is that of `dropout` over `shape`, made one chunk of
-    shape[-3:] at a time, so no float array of `shape` exists: element e is
-    kept (True) where its draw is >= p. A state h dropped by the mask is
-    h * mask * (1/(1-p)), the bits of `dropout`'s h * keep, because the
-    mask's 1.0 and 0.0 scale exactly. Given `stores` (see `reuse`), the
+    Element e is kept (True) where its uniform draw is >= p. The draw is
+    one rng.random over `shape`, made one chunk of shape[-3:] at a time, so
+    no float array of `shape` exists. Dropout applies a mask as
+    x * mask, then *= 1/(1-p), in the forward and the backward pass alike:
+    the mask's 1.0 and 0.0 scale exactly, so that has the bits of x times a
+    float keep mask of 1/(1-p) and 0.0. Given `stores` (see `reuse`), the
     masks are written over an earlier call's.
     """
-    _check_p(p)
     if p == 0.0:
         return None
     masks = reuse([] if stores is None else stores, 0, shape, dtype=np.bool_)

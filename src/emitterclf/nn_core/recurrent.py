@@ -122,7 +122,6 @@ from .layers import reuse
 __all__ = [
     "LSTM",
     "GRU",
-    "CELLS",
     "active_rows",
     "steps",
     "back_steps",
@@ -298,7 +297,6 @@ class Cell:
 
 LSTM = Cell("lstm", ("W", "U", "b"), 4, 3, 2, init_lstm_params, _lstm_step, _lstm_back)
 GRU = Cell("gru", ("W", "U_ru", "U_n", "b"), 3, 2, 1, init_gru_params, _gru_step, _gru_back)
-CELLS = {cell.name: cell for cell in (LSTM, GRU)}
 
 
 def steps(cell: Cell, params, xs, active, offsets, stores=None):
@@ -423,19 +421,16 @@ def _drain(gen):
         return done.value
 
 
-def sequence_forward(cell: Cell, params, x, lengths=None, stores=None):
+def sequence_forward(cell: Cell, params, x, lengths=None):
     """Run `cell` over a right-padded batch from a zero initial state.
 
     x: (T, S, B, Din); lengths: (B,) valid lengths sorted non-increasing, or
     None for a fully rectangular batch. Returns (h_seq, cache) where h_seq
     is (T, S, B, H) with the state carried unchanged past each sequence's
-    valid length, and the cache feeds sequence_backward. Given `stores`, a
-    list kept from call to call (see layers.reuse), h_seq and the cache's
-    stores are written over those of the previous call, which must be dead;
-    the results are the same bits.
+    valid length, and the cache feeds sequence_backward.
     """
     active, offsets = active_rows(lengths, x.shape[0], x.shape[2])
-    kept = _drain(steps(cell, params, x, active, offsets, stores))  # its stores, then h_seq
+    kept = _drain(steps(cell, params, x, active, offsets))  # its stores, then h_seq
     return kept[-1], (x, *kept, active, offsets)
 
 
@@ -453,16 +448,16 @@ def sequence_backward(cell: Cell, params, cache, dh_seq):
 
 # The whole-sequence pair bound to each cell, at the signatures that
 # perfbench's tracer and the kernel tests call.
-def lstm_forward(W, U, b, x, lengths=None, stores=None):
-    return sequence_forward(LSTM, (W, U, b), x, lengths, stores)
+def lstm_forward(W, U, b, x, lengths=None):
+    return sequence_forward(LSTM, (W, U, b), x, lengths)
 
 
 def lstm_backward(W, U, b, cache, dh_seq):  # (dW, dU, db, dx)
     return sequence_backward(LSTM, (W, U, b), cache, dh_seq)
 
 
-def gru_forward(W, U_ru, U_n, b, x, lengths=None, stores=None):
-    return sequence_forward(GRU, (W, U_ru, U_n, b), x, lengths, stores)
+def gru_forward(W, U_ru, U_n, b, x, lengths=None):
+    return sequence_forward(GRU, (W, U_ru, U_n, b), x, lengths)
 
 
 def gru_backward(W, U_ru, U_n, b, cache, dh_seq):  # (dW, dU_ru, dU_n, db, dx)

@@ -1,9 +1,14 @@
+import ctypes
+import functools
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from emitterclf.data_model import Dataset, PulseSequence
 from emitterclf.model import forward
-from emitterclf.nn_core import softmax
+from emitterclf.nn_core import layers, recurrent, softmax
 from emitterclf.normalize import build_batch, normalize_scheme
 
 # Acceptance criteria report one PASS/FAIL line each; collected here and
@@ -22,6 +27,53 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+_NUMPY_TRACE_DOMAIN = 389047  # the tracemalloc domain of numpy's data buffers
+_TRACK = ctypes.pythonapi.PyTraceMalloc_Track
+_TRACK.argtypes, _TRACK.restype = [ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t], ctypes.c_int
+_UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
+_UNTRACK.argtypes, _UNTRACK.restype = [ctypes.c_uint, ctypes.c_size_t], ctypes.c_int
+
+
+def _traced(reuse):
+    """`layers.reuse`, reporting each store it makes or grows to tracemalloc.
+
+    A store is the head of an anonymous mapping, which tracemalloc does not
+    see. While it traces, the store's mapping is reported at the store's
+    size, as numpy reports its buffers (a tracked pointer takes the new
+    size), and untracked when the mapping is freed. Only the old store's
+    size is read before the call: a reference to it would keep its mapping
+    alive while reuse maps a successor.
+    """
+
+    @functools.wraps(reuse)
+    def wrapper(stores, i, *args, **kwargs):
+        old = stores[i].size if i < len(stores) and stores[i] is not None else -1
+        out = reuse(stores, i, *args, **kwargs)
+        if tracemalloc.is_tracing() and stores[i].size > old:
+            mapping, ptr = stores[i].base, stores[i].ctypes.data
+            _TRACK(_NUMPY_TRACE_DOMAIN, ptr, stores[i].nbytes)
+            weakref.finalize(mapping, _UNTRACK, _NUMPY_TRACE_DOMAIN, ptr)
+        return out
+
+    return wrapper
+
+
+@pytest.fixture(scope="session", autouse=True)
+def traced_stores():
+    """Let the tracemalloc-based memory tests see the stores `reuse` maps.
+
+    Wraps the `reuse` bindings that the layers and the recurrent kernels
+    call (see _traced) for the whole session.
+    """
+    real = layers.reuse
+    wrapped = _traced(real)
+    for module in (layers, recurrent):
+        module.reuse = wrapped
+    yield
+    for module in (layers, recurrent):
+        module.reuse = real
 
 
 def make_sequence(pri, pw, rf, label=0, length=None):

@@ -131,6 +131,10 @@ def test_load_extreme_lengths_and_labels(tmp_path):
         ("seq 0 3\n" + "100 1 9000\n" * 2, "record 1: truncated"),  # the last record, one row short
         ("classes 0\n", "classes line 'classes 0'"),  # header only
         ("classes -2\n" + "seq 0 7\n" + "100 1 9000\n" * 7, "classes line 'classes -2'"),
+        (
+            "classes 2 junk\n" + "seq 0 7\n" + "100 1 9000\n" * 7,
+            "malformed classes line: 'classes 2 junk'",
+        ),
     ],
 )
 def test_load_rejects_malformed_records(tmp_path, record, match):

@@ -1,6 +1,9 @@
 import math
+import mmap
 import os
 import tracemalloc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ from emitterclf.nn_core import (
     softmax,
     weighted_cross_entropy,
 )
-from emitterclf.nn_core.layers import dropout_masks, reuse
+from emitterclf.nn_core import layers, recurrent
 from emitterclf.seeding import derive_rng
+from reference_model import ref_dropout
 
 EPS = 1e-5
 TOL = 1e-4
@@ -228,47 +232,53 @@ def test_gru_gradients_match_finite_differences(use_lengths):
 
 
 def test_dropout_identity_cases():
+    """p == 0 draws nothing and gives no mask, so it needs no rng."""
     rng = derive_rng(10)
-    x = rng.normal(size=(50,))
-    for r in (rng, None):  # p == 0 draws nothing, so it needs no rng
-        y, mask = dropout(x, 0.0, r)
-        assert y is x and mask is None
+    for r in (rng, None):
+        assert dropout((5, 3, 4), 0.0, r) is None
+    assert rng.bit_generator.state == derive_rng(10).bit_generator.state
 
 
 def test_dropout_statistics():
-    """Inverted dropout keeps the mean; zero fraction matches p."""
-    rng = derive_rng(11)
-    x = np.ones(1_000_000)
-    y, mask = dropout(x, 0.5, rng)
+    """Inverted dropout keeps the mean; the dropped fraction matches p."""
+    mask = dropout((1_000_000,), 0.5, derive_rng(11))
+    y = np.ones(1_000_000) * mask
+    y *= 1.0 / (1.0 - 0.5)
     assert abs(y.mean() - 1.0) < 0.01
-    zero_frac = float((y == 0.0).mean())
-    assert abs(zero_frac - 0.5) < 0.01
-    survivors = y[y != 0.0]
-    assert np.all(survivors == 2.0)
+    assert abs(float((y == 0.0).mean()) - 0.5) < 0.01
+    assert np.all(y[mask] == 2.0)
 
 
-def test_dropout_rejects_bad_p():
-    with pytest.raises(ValueError):
-        dropout(np.ones(3), 1.0, derive_rng(0))
-
-
-def test_reuse_writes_over_a_buffer_until_a_call_needs_more():
-    """A request that fits takes its slot's buffer; a larger one frees that
-    buffer before allocating, so the old and the new never coexist."""
+def test_reuse_writes_over_a_buffer_until_a_call_needs_more(monkeypatch):
+    """A request that fits takes its slot's buffer, and one that fits its
+    slot's mapping grows in place. A larger one frees the mapping before
+    mapping its successor, so the old and the new never coexist. Calls the
+    `reuse` that conftest wraps, so tracemalloc sees the stores."""
     stores = []
     tracemalloc.start()
     try:
-        first = reuse(stores, 0, (1000, 1000))
-        other = reuse(stores, 1, (10,))
-        smaller = reuse(stores, 0, (999, 1000))
+        first = layers.reuse(stores, 0, (600, 1000))  # its mapping reserves 1.2M values
+        other = layers.reuse(stores, 1, (10,))
+        in_place = layers.reuse(stores, 0, (1000, 1000))
+        smaller = layers.reuse(stores, 0, (999, 1000))
         assert len(stores) == 2 and smaller.shape == (999, 1000)
-        assert np.shares_memory(smaller, first) and not np.shares_memory(other, first)
-        del first, smaller
+        assert np.shares_memory(in_place, first) and np.shares_memory(smaller, first)
+        assert not np.shares_memory(other, first)
+        old = weakref.ref(stores[0].base)
+        del first, in_place, smaller
+        mapped_while_old_lived = []
+
+        def mapping(*args):
+            mapped_while_old_lived.append(old() is not None)
+            return mmap.mmap(*args)
+
+        monkeypatch.setattr(layers, "mmap", types.SimpleNamespace(mmap=mapping))
         tracemalloc.reset_peak()
-        grown = reuse(stores, 0, (1500, 1000))
+        grown = layers.reuse(stores, 0, (1500, 1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert mapped_while_old_lived == [False]
     assert grown.shape == (1500, 1000) and stores[0].size == grown.size
     assert peak < 8 * 2_000_000  # the new 12 MB buffer alone, not it plus the old 8 MB
 
@@ -289,27 +299,35 @@ def test_reuse_holds_only_the_live_stores_resident():
     del freed  # a 24 MB buffer freed: the threshold rises to it
     before = _resident_mb()
     stores = []
-    reuse(stores, 0, (1_000_000,)).fill(1.0)
-    reuse(stores, 1, (1_000_000,)).fill(1.0)
+    layers.reuse(stores, 0, (1_000_000,)).fill(1.0)
+    layers.reuse(stores, 1, (1_000_000,)).fill(1.0)
     start = stores[0].ctypes.data
-    reuse(stores, 0, (1_500_000,)).fill(1.0)  # within the mapping slot 0 reserved
+    layers.reuse(stores, 0, (1_500_000,)).fill(1.0)  # within the mapping slot 0 reserved
     assert stores[0].ctypes.data == start
     assert _resident_mb() - before < 8 * 2_500_000 / 2**20 + 4  # 19 MB live
-    reuse(stores, 0, (2_500_000,)).fill(1.0)  # past it: a new mapping
+    layers.reuse(stores, 0, (2_500_000,)).fill(1.0)  # past it: a new mapping
     assert _resident_mb() - before < 8 * 3_500_000 / 2**20 + 4  # 27 MB live
 
 
 def test_reuse_reports_its_buffers_to_tracemalloc():
-    stores = []
-    tracemalloc.start()
-    try:
-        reuse(stores, 0, (1_000_000,))
-        held, _ = tracemalloc.get_traced_memory()
-        stores.clear()
-        freed, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held >= 8_000_000 and held - freed >= 8_000_000
+    """Through the `reuse` that the layers and the recurrent kernels call,
+    tracemalloc sees each store when it is made or grows, and no longer
+    once its mapping is freed: conftest wraps both bindings, and the memory
+    tests measure through them."""
+    for module in (layers, recurrent):
+        stores = []
+        tracemalloc.start()
+        try:
+            module.reuse(stores, 0, (1_000_000,))
+            made, _ = tracemalloc.get_traced_memory()
+            module.reuse(stores, 0, (1_500_000,))  # grows within its mapping
+            grown, _ = tracemalloc.get_traced_memory()
+            stores.clear()
+            freed, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert made >= 8_000_000, module.__name__
+        assert grown - made >= 4_000_000 and grown - freed >= 12_000_000, module.__name__
 
 
 @settings(max_examples=80, deadline=None)
@@ -335,18 +353,24 @@ def test_embedding_backward_equals_add_at(vocab, dim, rows, zero_frac, seed):
 
 
 def test_dropout_masks_draw_dropouts_stream():
-    """The one-byte masks, drawn one (S, B, H) chunk at a time, keep what one
-    dropout draw over the whole shape keeps, and leave the rng where it does."""
-    shape = (2, 5, 3, 4, 6)
-    masks = dropout_masks(shape, 0.3, derive_rng(7), stores := [])
-    rng = derive_rng(7)
-    _, keep = dropout(np.ones(shape), 0.3, rng)
-    assert masks.dtype == np.bool_ and np.shares_memory(masks, stores[0])
-    assert np.array_equal(masks, keep != 0.0)
-    after = derive_rng(7)
-    dropout_masks(shape, 0.3, after)
-    assert after.bit_generator.state == rng.bit_generator.state
-    assert dropout_masks(shape, 0.0) is None
+    """The one-byte masks, drawn one shape[-3:] chunk at a time, keep what
+    one float draw over the whole shape keeps (tests/reference_model.py's
+    ref_dropout), leave the rng where it does, and applied as x * mask, then
+    *= 1/(1-p), give its x * keep bit for bit. Shapes: the inter-layer
+    masks' (L-1, T, S, B, H) and the FC layer's (B, S*H)."""
+    for shape in [(2, 5, 3, 4, 6), (7, 9)]:
+        x = derive_rng(8).normal(size=shape)
+        masks = dropout(shape, 0.3, derive_rng(7), stores := [])
+        rng = derive_rng(7)
+        want, keep = ref_dropout(x, 0.3, rng)
+        assert masks.dtype == np.bool_ and np.shares_memory(masks, stores[0])
+        assert np.array_equal(masks, keep != 0.0)
+        got = x * masks
+        got *= 1.0 / (1.0 - 0.3)
+        assert got.tobytes() == want.tobytes()
+        after = derive_rng(7)
+        dropout(shape, 0.3, after)
+        assert after.bit_generator.state == rng.bit_generator.state
 
 
 def test_fc_pass_through_and_bias():

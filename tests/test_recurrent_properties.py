@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emitterclf.nn_core.recurrent import (
-    CELLS,
+    GRU,
+    LSTM,
     active_rows,
     back_steps,
     sequence_backward,
@@ -22,6 +23,8 @@ from reference_recurrent import (
     ref_lstm_backward,
     ref_lstm_forward,
 )
+
+CELLS = {cell.name: cell for cell in (LSTM, GRU)}
 
 # each cell's oracle: the packed kernels the step loops replaced
 REFERENCE = {

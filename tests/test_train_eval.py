@@ -300,9 +300,11 @@ def test_training_holds_one_batch_of_state(arch):
     """Over 4 batches of one shape, train() peaks within 1.1x of its peak over
     1 batch: no batch's cache or gradients outlive it, except the cache the
     next forward writes over. (When a whole cache outlived its batch, the
-    ratio was 1.3-1.7.)"""
+    ratio read 1.42 for the GRU and 1.67 for the LSTMs.) Hidden is 64: at
+    16 the GRU's stores are too small a part of its peak, and a cache that
+    outlived its batch read 1.02 there."""
     cfg = ModelConfig(
-        architecture=arch, scheme=_SCHEMES[arch], num_classes=2, hidden=16, layers=2,
+        architecture=arch, scheme=_SCHEMES[arch], num_classes=2, hidden=64, layers=2,
         dropout=0.3,
     )
     ds = _pulse_dataset([96] * 8, seed=0)
