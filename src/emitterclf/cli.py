@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 import time
 from dataclasses import replace
@@ -113,10 +112,6 @@ def cmd_train(args) -> int:
         if ck.opt_tensors is None or ck.adam_t is None:
             raise ValueError(f"{args.resume}: checkpoint carries no optimizer state to resume")
         model, stats, prior = ck.model, ck.stats, ck.meta.get("epoch_losses", [])
-        if not isinstance(prior, list) or not all(
-            type(v) in (int, float) and math.isfinite(v) for v in prior  # true is no number
-        ):
-            raise ValueError(f"{args.resume}: meta.epoch_losses must be a list of finite numbers")
         optimizer = Adam(model.params, train_cfg.learning_rate)
         optimizer.load_state(ck.opt_tensors, ck.adam_t)
     else:
@@ -159,9 +154,9 @@ def cmd_eval(args) -> int:
         "evaluated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     with _naming(args.data):
-        report = evaluate(ck.model, test_ds, ck.stats, metadata=metadata)
+        report = evaluate(ck.model, test_ds, ck.stats)
     out = _outdir(args)
-    write_report_json(report, out / "report.json")
+    write_report_json(report, out / "report.json", metadata)
     write_confusion_csv(report, out / "confusion.csv")
     print(f"macro_accuracy {report.macro_accuracy:.6f} (n_test={report.n_test})")
     for c, acc in enumerate(report.per_class_accuracy):

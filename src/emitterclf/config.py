@@ -190,6 +190,9 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
         c = int(k.split(".")[2])
         if c >= num_classes:
             raise ConfigError(f"config key {k!r} references class {c} >= sim.classes")
+    noise = _get(cfg, "sim.noise", _one(float), 0.0)
+    if not 0.0 <= noise <= 0.5:  # SimConfig's bound, refused here to name the key
+        raise ConfigError(f"sim.noise: noise_fraction must lie in [0, 0.5], got {noise!r}")
     return SimConfig(
         emitters=tuple(emitters),
         sequences_per_class=tuple(counts),
@@ -197,7 +200,7 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
             _get(cfg, "sim.length_min", _one(int), MIN_SEQ_LEN),
             _get(cfg, "sim.length_max", _one(int), MAX_SEQ_LEN),
         ),
-        noise_fraction=_get(cfg, "sim.noise", _one(float), 0.0),
+        noise_fraction=noise,
         seed=seed if seed is not None else _get(cfg, "sim.seed", _one(int), 0),
     )
 

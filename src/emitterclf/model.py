@@ -25,16 +25,21 @@ pass runs the mirror chain (`_back_chain`), one reverse step generator
 per layer.
 Inference splits the S stacks of the attribute-specific LSTM into one
 block per usable CPU and steps the blocks in threads; see `forward`. The
-adapters are: one single-channel stream per stack
-(attribute-specific LSTM), the full channel vector as one stream (joint
-LSTM), and embedding lookup of the discretized attributes, whose gradient
-is layer 0's input gradient (GRU). `_RECURRENT` maps each architecture to
-its cell record, `recurrent.LSTM` or `recurrent.GRU`; every layer of both
-steps through `recurrent.steps` and `recurrent.back_steps`.
+adapters are one reshape of the K channels into S streams of K // S
+channels for both LSTMs (one channel per stack for the attribute-specific
+LSTM, all K in one stream for the joint LSTM), and embedding lookup of
+the discretized attributes, whose gradient is layer 0's input gradient
+(GRU). `_RECURRENT` maps each architecture to its cell record,
+`recurrent.LSTM` or `recurrent.GRU`; every layer of both steps through
+`recurrent.steps` and `recurrent.back_steps`.
 
-With training=True, dropout is applied between stacked recurrent layers and
-before the final FC layer. Checkpoints store named float64 tensors plus the
-model config, the fitted domain stats, and optional optimizer state.
+All four end in one dense head (`_head`): the stats MLP's hidden layers,
+of which the recurrent models have none, then the FC layer, with dropout
+before it in training, as between stacked recurrent layers. `build`,
+`forward` and `backward` each split only on where the features come
+from: the recurrent stack or the min/max summary. Checkpoints store named
+float64 tensors plus the model config, the fitted domain stats, and
+optional optimizer state.
 """
 
 from __future__ import annotations
@@ -178,11 +183,16 @@ def _layer_names(cfg: ModelConfig) -> list[list[str]]:
     return [[f"{cell.name}{layer}.{s}" for s in cell.suffixes] for layer in range(cfg.layers)]
 
 
+def _head(cfg: ModelConfig) -> list[str]:
+    """The dense head's layers: the stats MLP's hidden layers (none if recurrent), then fc."""
+    return [f"mlp{i}" for i in range(0 if cfg.stacks else len(cfg.mlp_hidden))] + ["fc"]
+
+
 def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
     """Create a classifier with deterministic initialization from `seed`."""
     rng = derive_rng(seed, "init")
     params: dict[str, np.ndarray] = {}
-    if cfg.architecture in _RECURRENT:
+    if cfg.stacks:  # the recurrent stack and its input adapter
         if cfg.architecture == "gru_discretized":
             for j in cfg.gru_attributes:
                 params[f"emb{j}"] = init_embedding(cfg.bins, cfg.embed_dim, rng)
@@ -193,29 +203,23 @@ def build(cfg: ModelConfig, seed: int) -> SequenceClassifier:
         for layer, names in enumerate(_layer_names(cfg)):
             tensors = init(cfg.stacks, din if layer == 0 else cfg.hidden, cfg.hidden, rng)
             params.update(zip(names, tensors))
-        fc_in = cfg.stacks * cfg.hidden
-    elif cfg.architecture == "stats_mlp":
-        sizes = (2 * cfg.channels,) + cfg.mlp_hidden
-        for i in range(len(cfg.mlp_hidden)):
-            w, b = init_fc(sizes[i], sizes[i + 1], rng)
-            params[f"mlp{i}.W"] = w
-            params[f"mlp{i}.b"] = b + 0.01  # keep rectifier units off the dead-zero corner
-        fc_in = sizes[-1]
-    else:  # pragma: no cover - guarded by ModelConfig
-        raise ValueError(cfg.architecture)
-    w, b = init_fc(fc_in, cfg.num_classes, rng)
-    params["fc.W"] = w
-    params["fc.b"] = b
+        sizes = [cfg.stacks * cfg.hidden]
+    else:  # the min/max summary, then the MLP's hidden layers
+        sizes = [2 * cfg.channels, *cfg.mlp_hidden]
+    for name, n_in, n_out in zip(_head(cfg), sizes, sizes[1:] + [cfg.num_classes]):
+        w, b = init_fc(n_in, n_out, rng)
+        params[f"{name}.W"] = w
+        params[f"{name}.b"] = b if name == "fc" else b + 0.01  # ReLUs off the dead-zero corner
     return SequenceClassifier(config=cfg, params=params)
 
 
 def _recurrent_input(cfg: ModelConfig, p: dict, batch: NormalizedBatch):
-    """Input adapter: the batch -> (T, S, B, Din) layer-0 input, and the row order.
+    """Input adapter: the batch -> (T, S, B, Din) layer-0 input, the row order, the GRU's ids.
 
     One gather along B puts the rows in the kernels' order, longest first
     (stable), and lays them out contiguously. The GRU's gather is of the
     ids, before the lookup, so its lookups and their concatenation build
-    the layout.
+    the layout, and the sorted ids serve its embedding gradients.
     """
     order = np.argsort(-batch.lengths, kind="stable")
     channels = batch.channels
@@ -224,15 +228,12 @@ def _recurrent_input(cfg: ModelConfig, p: dict, batch: NormalizedBatch):
             raise ValueError("gru_discretized expects integer (discretized) channels")
         ids = channels[order]
         embedded = [embedding_forward(p[f"emb{j}"], ids[:, :, j].T) for j in cfg.gru_attributes]
-        return np.concatenate(embedded, axis=2)[:, None], order  # (T, 1, B, A*E)
-    if channels.shape[2] != cfg.channels:
-        raise ValueError(f"batch has {channels.shape[2]} channels, model expects {cfg.channels}")
-    if cfg.architecture == "attribute_specific_lstm":
-        # (B, T, K) -> (T, K, B, 1): one single-channel stream per stack
-        x = channels.astype(np.float64, copy=False).transpose(1, 2, 0)[..., None]
-    else:  # (B, T, K) -> (T, 1, B, K)
-        x = channels.astype(np.float64, copy=False).transpose(1, 0, 2)[:, None]
-    return np.take(x, order, axis=2), order
+        return np.concatenate(embedded, axis=2)[:, None], order, ids  # (T, 1, B, A*E)
+    (B, T, K), S = channels.shape, cfg.stacks
+    if K != cfg.channels:
+        raise ValueError(f"batch has {K} channels, model expects {cfg.channels}")
+    x = channels.astype(np.float64, copy=False).reshape(B, T, S, K // S).transpose(1, 2, 0, 3)
+    return np.take(x, order, axis=2), order, None
 
 
 def _recurrent_input_backward(cfg: ModelConfig, p: dict, cache: dict, dx, grads) -> None:
@@ -252,12 +253,6 @@ def _recurrent_input_backward(cfg: ModelConfig, p: dict, cache: dict, dx, grads)
         grads[f"emb{j}"] = embedding_backward(
             p[f"emb{j}"], ids_valid[:, j], dx_valid[:, slot * e : (slot + 1) * e]
         )
-
-
-def _flatten(feats):
-    """(S, B, H) readout -> (B, S*H) features, stack s in columns [s*H, (s+1)*H)."""
-    s, b, h = feats.shape
-    return np.ascontiguousarray(feats.transpose(1, 0, 2)).reshape(b, s * h)
 
 
 def _split_width(groups: int) -> int:
@@ -387,6 +382,11 @@ def forward(
 ) -> tuple[np.ndarray, dict | None]:
     """Compute pre-softmax logits for a padded batch.
 
+    The features, the recurrent stack's top-layer states at each sequence's
+    last valid step or the stats MLP's per-channel minima and maxima over
+    the valid steps, pass through one dense head: the stats MLP's hidden
+    layers (FC, then ReLU), then the FC layer.
+
     training=True applies dropout (drawn from rng) between the recurrent
     layers and before the FC layer, and returns (logits, cache) for
     `backward`. training=False (inference) applies no dropout and returns
@@ -428,9 +428,9 @@ def forward(
     if spent:  # keep its stores; free the rest of it before this batch allocates
         stores = spent.pop("stores", None)
         spent.clear()
-    if cfg.architecture in _RECURRENT:
+    if cfg.stacks:
         cell = _RECURRENT[cfg.architecture]
-        x, order = _recurrent_input(cfg, p, batch)
+        x, order, ids = _recurrent_input(cfg, p, batch)
         lengths = batch.lengths[order]
         layers = [[p[n] for n in names] for names in _layer_names(cfg)]
         if training:
@@ -451,41 +451,36 @@ def forward(
                 offsets=offsets,
                 order=order,
                 lengths=lengths,
-                ids=batch.channels[order] if cell is GRU else None,  # for the embedding grads
+                ids=ids,  # for the embedding gradients
             )
         else:
             feats = _lockstep(cell, layers, x, lengths)
-        feats = _flatten(feats)[np.argsort(order)]
-    elif cfg.architecture == "stats_mlp":
+        S, B, H = feats.shape  # -> (B, S*H) features, stack s in columns [s*H, (s+1)*H)
+        feats = feats.transpose(1, 0, 2).reshape(B, S * H)[np.argsort(order)]
+    else:  # each channel's minimum and maximum over the valid steps
         x = batch.channels.astype(np.float64, copy=False)
-        m3 = batch.mask()[:, :, None].astype(bool)
+        m3 = batch.mask()[:, :, None]
         mins = np.where(m3, x, np.inf).min(axis=1)
         maxs = np.where(m3, x, -np.inf).max(axis=1)
         feats = np.concatenate([mins, maxs], axis=1)
-        acts, pre = [], []
-        h = feats
-        for i in range(len(cfg.mlp_hidden)):
-            z = fc_forward(h, p[f"mlp{i}.W"], p[f"mlp{i}.b"])
-            pre.append(z)
-            acts.append(h)
-            h = relu_forward(z)
-        feats = h
-        cache.update(mlp_pre=pre, mlp_acts=acts)
-    else:  # pragma: no cover
-        raise ValueError(cfg.architecture)
 
+    hidden = []  # each MLP layer's name, input and pre-activation
+    for name in _head(cfg)[:-1]:
+        z = fc_forward(feats, p[f"{name}.W"], p[f"{name}.b"])
+        hidden.append((name, feats, z))
+        feats = relu_forward(z)
     if not training:
         return fc_forward(feats, p["fc.W"], p["fc.b"]), None
     fc_mask = dropout(feats.shape, cfg.dropout, rng)
     if fc_mask is not None:
         feats = feats * fc_mask
         feats *= scale
-    cache.update(feats_d=feats, fc_mask=fc_mask)
+    cache.update(hidden=hidden, feats_d=feats, fc_mask=fc_mask)
     return fc_forward(feats, p["fc.W"], p["fc.b"]), cache
 
 
 def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the loss w.r.t. every model parameter."""
+    """Gradients of the loss w.r.t. every model parameter, the FC layer's first."""
     if not cache:
         raise ValueError(
             "forward(training=False) kept no cache, and a cache handed on as `spent` is "
@@ -500,8 +495,12 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
     if cache["fc_mask"] is not None:
         dfeats *= cache["fc_mask"]
         dfeats *= cache["scale"]
+    for name, h, z in reversed(cache["hidden"]):
+        dw, dbias, dfeats = fc_backward(h, p[f"{name}.W"], relu_backward(z, dfeats))
+        grads[f"{name}.W"] = dw
+        grads[f"{name}.b"] = dbias
 
-    if cfg.architecture in _RECURRENT:
+    if cfg.stacks:
         cell = _RECURRENT[cfg.architecture]
         names = _layer_names(cfg)
         x = cache["x"]
@@ -512,15 +511,6 @@ def backward(model: SequenceClassifier, cache: dict, dlogits: np.ndarray) -> dic
         for layer in range(cfg.layers - 1, -1, -1):  # top first: global_grad_norm sums in this order
             grads.update(zip(names[layer], dparams[layer]))
         _recurrent_input_backward(cfg, p, cache, dx0, grads)
-    elif cfg.architecture == "stats_mlp":
-        dh = dfeats
-        for i in range(len(cfg.mlp_hidden) - 1, -1, -1):
-            dz = relu_backward(cache["mlp_pre"][i], dh)
-            dw, dbias, dh = fc_backward(cache["mlp_acts"][i], p[f"mlp{i}.W"], dz)
-            grads[f"mlp{i}.W"] = dw
-            grads[f"mlp{i}.b"] = dbias
-    else:  # pragma: no cover
-        raise ValueError(cfg.architecture)
     return grads
 
 
@@ -566,10 +556,11 @@ def load_checkpoint(path) -> CheckpointData:
     The tensors must carry exactly the names and shapes `build(config)`
     gives, plus `adam.m.<name>` and `adam.v.<name>` per parameter when
     optimizer state was saved (its step count `adam_t` a non-negative
-    integer), `meta` must be an object, the payload must hold exactly the
-    tensors' bytes, all finite, and its domain stats (unless the scheme is
-    `none`) must be usable by normalization. Every refusal is a ValueError
-    naming the path.
+    integer), `meta` must be an object whose `epoch_losses`, if any, is a
+    list of finite numbers, the payload must hold exactly the tensors'
+    bytes, all finite, and its domain stats (unless the scheme is `none`)
+    must be usable by normalization. Every refusal is a ValueError naming
+    the path.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
@@ -602,6 +593,11 @@ def load_checkpoint(path) -> CheckpointData:
         raise ValueError(f"{path}: adam_t must be a non-negative integer, got {adam_t!r}")
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: meta must be a JSON object, got {type(meta).__name__}")
+    losses = meta.get("epoch_losses", [])  # a grid's checkpoints have none
+    if not isinstance(losses, list) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in losses  # true is no number
+    ):
+        raise ValueError(f"{path}: meta.epoch_losses must be a list of finite numbers")
 
     expected = {n: t.shape for n, t in build(cfg, seed=0).params.items()}
     if adam_t is not None:

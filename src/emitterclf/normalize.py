@@ -227,9 +227,9 @@ class NormalizedBatch:
     labels: np.ndarray  # (B,)
 
     def mask(self) -> np.ndarray:
-        """(B, T_max) float mask: 1.0 where t < valid length."""
+        """(B, T_max) bool mask: True where t < valid length."""
         t = np.arange(self.channels.shape[1])
-        return (t[None, :] < self.lengths[:, None]).astype(np.float64)
+        return t[None, :] < self.lengths[:, None]
 
 
 def build_batch(normalized: list[NormalizedSequence]) -> NormalizedBatch:

@@ -245,8 +245,8 @@ class SimConfig:
             raise ValueError(
                 f"length_range must satisfy {MIN_SEQ_LEN} <= lo <= hi <= {MAX_SEQ_LEN}"
             )
-        if not (math.isfinite(self.noise_fraction) and self.noise_fraction >= 0.0):
-            raise ValueError(f"noise_fraction must be finite and >= 0, got {self.noise_fraction}")
+        if not 0.0 <= self.noise_fraction <= 0.5:  # also refuses NaN
+            raise ValueError(f"noise_fraction must lie in [0, 0.5], got {self.noise_fraction}")
 
     @property
     def num_classes(self) -> int:
@@ -284,8 +284,8 @@ def generate_sequence(
     """
     if not 1 <= length <= MAX_SEQ_LEN:
         raise ValueError(f"length must lie in [1, {MAX_SEQ_LEN}], got {length}")
-    if noise_fraction < 0.0:
-        raise ValueError("noise_fraction must be >= 0")
+    if not 0.0 <= noise_fraction <= 0.5:
+        raise ValueError(f"noise_fraction must lie in [0, 0.5], got {noise_fraction}")
     table, jitter, means = _spec_columns(spec)
     values = table[:length].copy()
     u = rng.uniform(-1.0, 1.0, size=(length, len(jitter)))

@@ -187,7 +187,6 @@ class EvalReport:
     per_class_accuracy: list[float | None]
     confusion: np.ndarray
     n_test: int
-    metadata: dict = field(default_factory=dict)
 
 
 def classification_report(truths, preds, num_classes: int):
@@ -224,7 +223,6 @@ def evaluate(
     test_ds: Dataset,
     stats: DomainStats | None,
     *,
-    metadata: dict | None = None,
     batch_size: int = 256,
 ) -> EvalReport:
     """Inference predictions for every sequence, macro-averaged.
@@ -271,7 +269,6 @@ def evaluate(
         per_class_accuracy=per_class,
         confusion=confusion,
         n_test=test_ds.n,
-        metadata=metadata or {},
     )
 
 
@@ -454,7 +451,8 @@ def write_rows_csv(rows: list[dict], columns: tuple[str, ...], path) -> None:
             fh.write(",".join(_fmt_cell(row[c]) for c in columns) + "\n")
 
 
-def write_report_json(report: EvalReport, path) -> None:
+def write_report_json(report: EvalReport, path, metadata: dict) -> None:
+    """The report and the run's metadata (checkpoint, fingerprints, time) as JSON."""
     import json
 
     payload = {
@@ -462,7 +460,7 @@ def write_report_json(report: EvalReport, path) -> None:
         "per_class_accuracy": report.per_class_accuracy,
         "confusion": report.confusion.tolist(),
         "n_test": report.n_test,
-        "metadata": report.metadata,
+        "metadata": metadata,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,8 +1,11 @@
-"""Reference training pass of the recurrent classifiers, for the bit-identity oracle test.
+"""Reference training pass of the classifiers, for the bit-identity oracle test.
 
 A frozen copy of `emitterclf.model.forward(training=True)` and
-`emitterclf.model.backward` for the three recurrent architectures as they
-were when training ran the layers one after another: each layer is one
+`emitterclf.model.backward`. The stats MLP's pass is as it was when its
+hidden layers ran apart from the FC head: the per-channel minima and
+maxima over the valid steps, each hidden layer's FC and ReLU, then the FC
+dropout and layer. The three recurrent architectures' pass is as it
+was when training ran the layers one after another: each layer is one
 whole-sequence kernel call (lstm_forward/gru_forward, whose own bits
 tests/reference_recurrent.py pins), the inter-layer dropout draws and
 applies one (T, S, B, H) float keep slab per layer boundary, the top
@@ -59,8 +62,40 @@ def _input(cfg, p, batch):
     return np.take(x, order, axis=2), order
 
 
+def _mlp_train_forward(model, batch, rng):
+    cfg, p = model.config, model.params
+    x = batch.channels.astype(np.float64, copy=False)
+    valid = (np.arange(x.shape[1])[None, :] < batch.lengths[:, None])[:, :, None]
+    mins = np.where(valid, x, np.inf).min(axis=1)
+    h = np.concatenate([mins, np.where(valid, x, -np.inf).max(axis=1)], axis=1)
+    acts, pre = [], []
+    for i in range(len(cfg.mlp_hidden)):
+        z = fc_forward(h, p[f"mlp{i}.W"], p[f"mlp{i}.b"])
+        acts.append(h)
+        pre.append(z)
+        h = np.maximum(z, 0.0)
+    feats_d, fc_drop = ref_dropout(h, cfg.dropout, rng)
+    cache = dict(acts=acts, pre=pre, feats_d=feats_d, fc_drop=fc_drop)
+    return fc_forward(feats_d, p["fc.W"], p["fc.b"]), cache
+
+
+def _mlp_backward(model, cache, dlogits):
+    cfg, p = model.config, model.params
+    grads = {}
+    grads["fc.W"], grads["fc.b"], dh = fc_backward(cache["feats_d"], p["fc.W"], dlogits)
+    if cache["fc_drop"] is not None:
+        dh = dh * cache["fc_drop"]
+    for i in range(len(cfg.mlp_hidden) - 1, -1, -1):
+        dz = dh * (cache["pre"][i] > 0.0)
+        dw, db, dh = fc_backward(cache["acts"][i], p[f"mlp{i}.W"], dz)
+        grads[f"mlp{i}.W"], grads[f"mlp{i}.b"] = dw, db
+    return grads
+
+
 def ref_train_forward(model, batch, rng):
     """Logits and the cache for ref_backward."""
+    if model.config.architecture == "stats_mlp":
+        return _mlp_train_forward(model, batch, rng)
     cfg, p = model.config, model.params
     cell, suffixes = _RECURRENT[cfg.architecture]
     kernel = _KERNELS[cell][0]
@@ -86,6 +121,8 @@ def ref_train_forward(model, batch, rng):
 
 def ref_backward(model, cache, dlogits):
     """Gradients of every parameter, by name."""
+    if model.config.architecture == "stats_mlp":
+        return _mlp_backward(model, cache, dlogits)
     cfg, p = model.config, model.params
     cell, suffixes = _RECURRENT[cfg.architecture]
     kernel = _KERNELS[cell][1]

@@ -362,7 +362,10 @@ def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "value,named",
     [
-        ("sim.noise=inf", "noise_fraction must be finite"),
+        ("sim.noise=inf", "noise_fraction must lie in [0, 0.5], got inf"),
+        ("sim.noise=0.6", "sim.noise: noise_fraction must lie in [0, 0.5], got 0.6"),
+        # would draw values that overflow to inf
+        ("sim.noise=1e306", "sim.noise: noise_fraction must lie in [0, 0.5], got 1e+306"),
         # the pattern's mean would overflow to inf, and with it the drawn PRI values
         ("sim.class.0.pri=stagger,1e308,1e308", "sim.class.0.pri: stagger pattern's mean"),
     ],
@@ -499,34 +502,44 @@ def test_eval_refuses_wrong_shape_tensor(tmp_path, capsys):
     assert "tensor 'lstm0.U' has shape (6, 3, 16), the config needs (6, 4, 16)" in err
 
 
-def _nan_weight(model, stats):
+def _nan_weight(model, stats, meta):
     model.params["fc.W"][0, 0] = np.nan
     return stats
 
 
-# fault -> (edit of the model and stats before saving, what the refusal names)
+def _bool_loss(model, stats, meta):
+    meta["epoch_losses"] = [True]
+    return stats
+
+
+# fault -> (edit of the model, stats and meta before saving, what the refusal names)
 _CHECKPOINT_FAULTS = {
     "nan_weight": (_nan_weight, "tensor 'fc.W' holds a non-finite value"),
-    "no_stats": (lambda m, s: None, "scheme 'minmax+perseq' needs domain stats"),
-    "two_stats": (lambda m, s: replace(s, mins=s.mins[:2]), "stats mins must hold 3 finite values"),
-    "nan_min": (
-        lambda m, s: replace(s, mins=np.array([np.nan, *s.mins[1:]])),
+    "no_stats": (lambda m, s, meta: None, "scheme 'minmax+perseq' needs domain stats"),
+    "two_stats": (
+        lambda m, s, meta: replace(s, mins=s.mins[:2]),
         "stats mins must hold 3 finite values",
     ),
-    "max_not_above_min": (lambda m, s: replace(s, maxs=s.mins.copy()), "must exceed its mins"),
-    "zero_std": (lambda m, s: replace(s, stds=np.array([0.0, *s.stds[1:]])), "must be > 0"),
+    "nan_min": (
+        lambda m, s, meta: replace(s, mins=np.array([np.nan, *s.mins[1:]])),
+        "stats mins must hold 3 finite values",
+    ),
+    "max_not_above_min": (lambda m, s, meta: replace(s, maxs=s.mins.copy()), "must exceed its mins"),
+    "zero_std": (lambda m, s, meta: replace(s, stds=np.array([0.0, *s.stds[1:]])), "must be > 0"),
+    "bool_loss": (_bool_loss, "meta.epoch_losses must be a list of finite numbers"),
 }
 
 
 @pytest.mark.parametrize("command", ["eval", "noise-sweep", "train"])
 @pytest.mark.parametrize("fault", sorted(_CHECKPOINT_FAULTS))
 def test_checkpoint_that_inference_cannot_use_refused(tmp_path, capsys, command, fault):
-    """A checkpoint with a non-finite tensor, or domain stats that are missing
-    or unusable, is refused naming the file and the tensor or field."""
+    """A checkpoint with a non-finite tensor, domain stats that are missing
+    or unusable, or a loss history that is not a list of numbers, is
+    refused naming the file and the tensor or field."""
     data, model, stats = _micro_inputs(tmp_path)
     edit, named = _CHECKPOINT_FAULTS[fault]
-    ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, model, edit(model, stats))
+    ckpt, meta = tmp_path / "m.ckpt", {}
+    save_checkpoint(ckpt, model, edit(model, stats, meta), meta)
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(_checkpoint_args(command, ckpt, data, out)) == 1

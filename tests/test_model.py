@@ -424,7 +424,7 @@ def test_lockstep_inference_matches_caching_forward(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    arch=st.sampled_from(sorted(_RECURRENT_CONFIGS)),
+    arch=st.sampled_from(sorted(_GRADCHECK_CONFIGS)),
     layers=st.integers(1, 3),
     dropout=st.sampled_from([0.0, 0.3]),
     hidden=st.sampled_from([1, 3, 8]),
@@ -440,16 +440,24 @@ def test_lockstep_inference_matches_caching_forward(
     arch="gru_discretized", layers=2, dropout=0.3, hidden=3,
     batches=[[5, 2, 6], [1, 3]], extra=0, seed=1,
 )
+@example(
+    arch="stats_mlp", layers=3, dropout=0.3, hidden=3,
+    batches=[[5, 2, 6], [1, 3]], extra=1, seed=2,
+)
 def test_training_pass_matches_layer_by_layer_reference(
     arch, layers, dropout, hidden, batches, extra, seed
 ):
     """The chained training forward and backward give the bytes of the
     layer-by-layer pass with slab dropout (tests/reference_model.py): logits,
-    every gradient and the dropout rng's state after forward. Each batch
-    after the first is handed the previous one's spent cache, its float
-    stores filled with NaN and its masks with True, so a stale read shows."""
+    every gradient, their order and the dropout rng's state after forward.
+    Each batch after the first is handed the previous one's spent cache,
+    its float stores filled with NaN and its masks with True, so a stale
+    read shows. The stats MLP gets `layers` hidden layers of hidden + layers
+    down to hidden + 1 units."""
     rng = np.random.default_rng(seed)
-    kw = dict(_RECURRENT_CONFIGS[arch], hidden=hidden)
+    kw = dict(_GRADCHECK_CONFIGS[arch], hidden=hidden)
+    if arch == "stats_mlp":
+        kw["mlp_hidden"] = tuple(range(hidden + layers, hidden, -1))
     cfg = _cfg(architecture=arch, layers=layers, dropout=dropout, **kw)
     model = build(cfg, seed=seed % 1000)
     for p in model.params.values():
@@ -467,7 +475,7 @@ def test_training_pass_matches_layer_by_layer_reference(
             channels=channels, lengths=np.array(lengths), labels=np.zeros(b, dtype=np.int64)
         )
         dlogits = rng.normal(size=(b, cfg.num_classes))
-        for buf in itertools.chain.from_iterable(cache["stores"] if cache else []):
+        for buf in itertools.chain.from_iterable((cache or {}).get("stores", [])):
             buf.fill(np.nan if buf.dtype.kind == "f" else True)
         got_rng, want_rng = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
         logits, cache = forward(model, batch, training=True, rng=got_rng, spent=cache)

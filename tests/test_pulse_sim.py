@@ -198,6 +198,12 @@ def test_simconfig_validation():
         _simconfig(lengths=(3, 16))
     with pytest.raises(ValueError, match="length_range"):
         _simconfig(lengths=(7, 600))
+    spec = _simconfig().emitters[0]
+    for noise in (-0.1, 0.6, 1e306, float("nan")):  # add_noise's range, [0, 0.5]
+        with pytest.raises(ValueError, match=r"noise_fraction must lie in \[0, 0.5\]"):
+            _simconfig(noise=noise)
+        with pytest.raises(ValueError, match=r"noise_fraction must lie in \[0, 0.5\]"):
+            generate_sequence(spec, 16, noise, derive_rng(0))
 
 
 def test_add_noise_zero_is_identity():

@@ -546,9 +546,9 @@ def test_noise_sweep_covers_requested_fractions(separable_ds):
 
 def test_report_writers(tmp_path, separable_ds):
     result = train(build(_mcfg(), seed=11), separable_ds, _tcfg(epochs=1))
-    report = evaluate(result.model, separable_ds, result.stats, metadata={"seed": 11})
+    report = evaluate(result.model, separable_ds, result.stats)
     jpath = tmp_path / "report.json"
-    write_report_json(report, jpath)
+    write_report_json(report, jpath, {"seed": 11})
     import json
 
     payload = json.loads(jpath.read_text())
