@@ -1,8 +1,12 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emitterclf import config as cfgmod
 from emitterclf.data_model import serialize_dataset
 from emitterclf.pulse_sim import (
     ConstantPattern,
@@ -18,6 +22,9 @@ from emitterclf.pulse_sim import (
 )
 from emitterclf.seeding import derive_rng
 from reference_pulse_sim import ref_generate_sequence
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _spec(pri, pw, rf, class_id=0):
@@ -156,6 +163,22 @@ def test_generate_dataset_counts_and_determinism():
     assert ds.n == 30
     assert list(ds.class_counts) == [10, 10, 10]
     assert serialize_dataset(ds) == serialize_dataset(generate_dataset(cfg))
+
+
+# sha256 of serialize_dataset(generate_dataset(...)) for each preset at its
+# config seed: the dataset bytes that every trained figure rests on.
+PRESET_DATASET_SHA256 = {
+    "micro": "a9b037369094d88e6cbd4d2417d979af113b5ae1db77f6728394c9527b066c57",
+    "paperlike_small": "9b639ab252897d989e30a1a4f240118dd78158368a6a394c61f9cd19d9ab3cd1",
+    "paperlike": "cd419e90590b5594d1b98d72de5ca760fa9c88cc988068cd66852d1fa305269f",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DATASET_SHA256))
+def test_preset_dataset_bytes_are_pinned(preset):
+    cfg = cfgmod.sim_config(cfgmod.load_config(CONFIGS / f"{preset}.cfg"))
+    text = serialize_dataset(generate_dataset(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DATASET_SHA256[preset]
 
 
 def test_generate_dataset_imbalanced_counts():
