@@ -45,6 +45,12 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
 
+    try:  # refuse a bad split before anything is written
+        cfg = cfgmod.load_config(args.config)
+        fraction, split_seed = cfgmod.split_params(cfg)
+    except cfgmod.ConfigError as exc:
+        raise SystemExit(f"error: {exc}")
+
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -55,8 +61,6 @@ def main() -> None:
     print("== generate ==")
     run(["gen", "--config", args.config, "--out", str(dataset)])
 
-    cfg = cfgmod.load_config(args.config)
-    fraction, split_seed = cfgmod.split_params(cfg)
     ds = load_dataset(dataset)
     train_ds, test_ds = split_dataset(ds, fraction, split_seed)
     save_dataset(train_ds, train_path)

@@ -175,6 +175,8 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
             if f"{prefix}.{field}" not in cfg:
                 raise ConfigError(f"missing required config key '{prefix}.{field}'")
         counts.append(_get(cfg, f"{prefix}.count", _one(int), _REQUIRED))
+        if counts[-1] < 2:  # SimConfig's bound, refused here to name the key
+            raise ConfigError(f"{prefix}.count: class {c} needs at least 2 sequences, got {counts[-1]}")
         patterns = {}
         for field in ("pri", "pw", "rf"):
             try:
@@ -193,13 +195,19 @@ def sim_config(cfg: dict[str, list[str]], seed: int | None = None) -> SimConfig:
     noise = _get(cfg, "sim.noise", _one(float), 0.0)
     if not 0.0 <= noise <= 0.5:  # SimConfig's bound, refused here to name the key
         raise ConfigError(f"sim.noise: noise_fraction must lie in [0, 0.5], got {noise!r}")
+    lengths = (
+        _get(cfg, "sim.length_min", _one(int), MIN_SEQ_LEN),
+        _get(cfg, "sim.length_max", _one(int), MAX_SEQ_LEN),
+    )
+    if not MIN_SEQ_LEN <= lengths[0] <= lengths[1] <= MAX_SEQ_LEN:  # SimConfig's bound
+        raise ConfigError(
+            f"sim.length_min, sim.length_max: need {MIN_SEQ_LEN} <= min <= max <= {MAX_SEQ_LEN}, "
+            f"got {lengths}"
+        )
     return SimConfig(
         emitters=tuple(emitters),
         sequences_per_class=tuple(counts),
-        length_range=(
-            _get(cfg, "sim.length_min", _one(int), MIN_SEQ_LEN),
-            _get(cfg, "sim.length_max", _one(int), MAX_SEQ_LEN),
-        ),
+        length_range=lengths,
         noise_fraction=noise,
         seed=seed if seed is not None else _get(cfg, "sim.seed", _one(int), 0),
     )
@@ -226,10 +234,10 @@ def train_config(cfg: dict[str, list[str]], seed: int | None = None) -> TrainCon
 
 
 def split_params(cfg: dict[str, list[str]]) -> tuple[float, int]:
-    return (
-        _get(cfg, "split.fraction", _one(float), 0.778),
-        _get(cfg, "split.seed", _one(int), 7),
-    )
+    fraction = _get(cfg, "split.fraction", _one(float), 0.778)
+    if not 0.0 < fraction < 1.0:  # split_dataset's bound, refused here to name the key
+        raise ConfigError(f"split.fraction: train_fraction must be in (0, 1), got {fraction!r}")
+    return fraction, _get(cfg, "split.seed", _one(int), 7)
 
 
 def eval_params(cfg: dict[str, list[str]]) -> tuple[tuple[float, ...], int]:

@@ -1,14 +1,14 @@
 """Synthetic pulse-stream generator with controllable class structure.
 
-Each emitter class is described by one pattern per attribute:
+Each emitter class is described by one pattern per attribute, of two kinds:
 
-* PRI / PW patterns: ``constant(v)``, ``stagger(v1..vK)`` (cycled in order),
-  ``jitter(center, dev)`` (uniform on center*(1 +/- dev)).
-* RF patterns: ``constant(v)`` or ``hop(dwell, v1..vK)`` (each value held
-  for `dwell` consecutive pulses, cycled).
+* ``CyclePattern(values, dwell)``: the values in turn, each held for `dwell`
+  pulses. One value is a constant, dwell 1 a stagger (PRI, PW, RF) and a
+  longer dwell a hop (RF only).
+* ``JitterPattern(center, dev)``: uniform on center*(1 +/- dev) (PRI, PW).
 
-Each pattern gives its values through one method, ``column(t, u)``: the
-attribute at pulse indices ``t``; jitter reads ``u``, one uniform draw per pulse.
+A pattern's ``column(t, u)`` gives the attribute at pulse indices ``t``;
+jitter reads ``u``, one uniform draw per pulse.
 
 Measurement noise is additive Gaussian per attribute value. Sequence
 generation derives a child RNG from (seed, class_id, sequence_index), so
@@ -35,10 +35,8 @@ from .data_model import Dataset, PulseSequence, MIN_SEQ_LEN, MAX_SEQ_LEN
 from .seeding import derive_rng
 
 __all__ = [
-    "ConstantPattern",
-    "StaggerPattern",
+    "CyclePattern",
     "JitterPattern",
-    "HopPattern",
     "EmitterSpec",
     "SimConfig",
     "generate_sequence",
@@ -61,42 +59,24 @@ def _check_summary(pattern, kind: str) -> None:
 
 
 @dataclass(frozen=True)
-class ConstantPattern:
-    value: float
+class CyclePattern:
+    """Cycle through values, holding each for `dwell` consecutive pulses.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ValueError(f"constant pattern value must be finite and > 0, got {self.value}")
-
-    def column(self, t: np.ndarray, u) -> np.ndarray:
-        return np.full(len(t), self.value)
-
-    @property
-    def mean(self) -> float:
-        return self.value
-
-    @property
-    def lo(self) -> float:
-        return self.value
-
-    @property
-    def hi(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class _CyclePattern:
-    """Cycle through values, each held for `dwell` pulses; subclasses set `kind`, `dwell`."""
+    One value is a constant, dwell 1 a stagger, a longer dwell an RF hop.
+    """
 
     values: tuple[float, ...]
+    dwell: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
-            raise ValueError(f"{self.kind} pattern needs at least one value")
+            raise ValueError("cycle pattern needs at least one value")
         if not all(math.isfinite(v) and v > 0.0 for v in self.values):
-            raise ValueError(f"{self.kind} pattern values must be finite and > 0, got {self.values}")
-        _check_summary(self, self.kind)
+            raise ValueError(f"cycle pattern values must be finite and > 0, got {self.values}")
+        if self.dwell < 1:
+            raise ValueError(f"cycle dwell must be >= 1, got {self.dwell}")
+        _check_summary(self, "cycle")
 
     def column(self, t: np.ndarray, u) -> np.ndarray:
         return np.array(self.values)[(t // self.dwell) % len(self.values)]
@@ -112,14 +92,6 @@ class _CyclePattern:
     @property
     def hi(self) -> float:
         return float(np.max(self.values))
-
-
-@dataclass(frozen=True)
-class StaggerPattern(_CyclePattern):
-    """Deterministic cycle through a fixed list of values, one per pulse."""
-
-    kind = "stagger"
-    dwell = 1
 
 
 @dataclass(frozen=True)
@@ -152,50 +124,40 @@ class JitterPattern:
         return self.center * (1.0 + self.deviation)
 
 
-@dataclass(frozen=True)
-class HopPattern(_CyclePattern):
-    """Cycle through values, holding each for `dwell` consecutive pulses."""
-
-    dwell: int
-    kind = "hop"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.dwell < 1:
-            raise ValueError("hop dwell must be >= 1")
+_SYNTAX = {  # the config form of each pattern kind
+    "constant": "constant <v>",
+    "stagger": "stagger <v1> <v2> ...",
+    "jitter": "jitter <center> <deviation>",
+    "hop": "hop <dwell> <v1> <v2> ...",
+}
+_KINDS = {False: ("constant", "stagger", "jitter"), True: ("constant", "hop")}  # PRI/PW, RF
+_ARITY = {"constant": 1, "jitter": 2}  # value counts; stagger and hop take one or more
 
 
-_PRI_PW_PATTERNS = (ConstantPattern, StaggerPattern, JitterPattern)
-_RF_PATTERNS = (ConstantPattern, HopPattern)
-
-
-def parse_pattern(tokens: list[str], *, rf: bool = False):
-    """Parse a pattern from config tokens.
-
-    Syntax: ``constant <v>`` | ``stagger <v1> <v2> ...`` |
-    ``jitter <center> <deviation>`` | ``hop <dwell> <v1> <v2> ...``.
-    """
+def parse_pattern(tokens: list[str], *, rf: bool = False) -> CyclePattern | JitterPattern:
+    """Parse config tokens in one of the `_SYNTAX` forms; constant, stagger
+    and hop each make a `CyclePattern`. Only RF hops; only PRI/PW stagger or jitter."""
     if not tokens:
         raise ValueError("empty pattern")
-    kind, args = tokens[0], tokens[1:]
+    kind, args = tokens[0], list(tokens[1:])
+    if kind not in _KINDS[rf]:
+        family = "rf" if rf else "pri/pw"
+        raise ValueError(f"unknown {family} pattern kind {kind!r}")
     try:
-        if kind == "constant":
-            (v,) = args
-            return ConstantPattern(float(v))
-        if kind == "stagger" and not rf:
-            return StaggerPattern(tuple(float(v) for v in args))
-        if kind == "jitter" and not rf:
-            center, dev = args
-            return JitterPattern(float(center), float(dev))
-        if kind == "hop" and rf:
-            dwell, *vals = args
-            return HopPattern(tuple(float(v) for v in vals), int(dwell))
-    except ValueError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"malformed {kind} pattern: {' '.join(tokens)!r}") from exc
-    family = "rf" if rf else "pri/pw"
-    raise ValueError(f"unknown {family} pattern kind {kind!r}")
+        dwell = int(args.pop(0)) if kind == "hop" else 1
+        values = tuple(float(v) for v in args)
+    except (IndexError, ValueError):
+        values = ()
+    if not values or len(values) != _ARITY.get(kind, len(values)):
+        raise ValueError(f"malformed {kind} pattern {' '.join(tokens)!r}: expected '{_SYNTAX[kind]}'")
+    if kind == "jitter":
+        return JitterPattern(*values)
+    return CyclePattern(values, dwell)
+
+
+def _is_pri_pw(p) -> bool:
+    """PRI and PW jitter or cycle at dwell 1; RF only cycles, at any dwell."""
+    return isinstance(p, JitterPattern) or isinstance(p, CyclePattern) and p.dwell == 1
 
 
 @dataclass(frozen=True)
@@ -203,17 +165,18 @@ class EmitterSpec:
     """Pattern triple defining one emitter class."""
 
     class_id: int
-    pri: ConstantPattern | StaggerPattern | JitterPattern
-    pw: ConstantPattern | StaggerPattern | JitterPattern
-    rf: ConstantPattern | HopPattern
+    pri: CyclePattern | JitterPattern
+    pw: CyclePattern | JitterPattern
+    rf: CyclePattern
 
     def __post_init__(self):
-        if not isinstance(self.pri, _PRI_PW_PATTERNS):
-            raise ValueError(f"class {self.class_id}: unsupported PRI pattern {type(self.pri)}")
-        if not isinstance(self.pw, _PRI_PW_PATTERNS):
-            raise ValueError(f"class {self.class_id}: unsupported PW pattern {type(self.pw)}")
-        if not isinstance(self.rf, _RF_PATTERNS):
-            raise ValueError(f"class {self.class_id}: unsupported RF pattern {type(self.rf)}")
+        for name, p, ok in (
+            ("PRI", self.pri, _is_pri_pw(self.pri)),
+            ("PW", self.pw, _is_pri_pw(self.pw)),
+            ("RF", self.rf, isinstance(self.rf, CyclePattern)),
+        ):
+            if not ok:
+                raise ValueError(f"class {self.class_id}: unsupported {name} pattern {p!r}")
         if not self.pw.hi < self.pri.lo:
             raise ValueError(
                 f"class {self.class_id}: max PW {self.pw.hi} must stay below min PRI {self.pri.lo}"
@@ -253,7 +216,9 @@ class SimConfig:
         return len(self.emitters)
 
 
-def _cap_pw(values: np.ndarray) -> None:
+def _clamp(values: np.ndarray) -> None:
+    """Keep noisy values at or above VALUE_FLOOR, then each PW below its PRI."""
+    np.maximum(values, VALUE_FLOOR, out=values)
     # Noise can push pw past pri; cap to preserve the pulse invariant.
     np.minimum(values[:, 1], values[:, 0] * (1.0 - 1e-9), out=values[:, 1])
 
@@ -293,8 +258,7 @@ def generate_sequence(
         values[:, j] = pat.column(None, u[:, k])
     if noise_fraction > 0.0:
         values += rng.standard_normal(values.shape) * (noise_fraction * means)
-        np.maximum(values, VALUE_FLOOR, out=values)
-        _cap_pw(values)
+        _clamp(values)
     return PulseSequence(values, spec.class_id, check=False)
 
 
@@ -325,7 +289,6 @@ def add_noise(ds: Dataset, noise_fraction: float, seed: int) -> Dataset:
         rng = derive_rng(seed, "noise", i)
         values = seq.values.copy()
         values += rng.standard_normal(values.shape) * (noise_fraction * values)
-        np.maximum(values, VALUE_FLOOR, out=values)
-        _cap_pw(values)
+        _clamp(values)
         noisy.append(PulseSequence(values, seq.label, check=False))
     return Dataset(noisy, ds.num_classes)

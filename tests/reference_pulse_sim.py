@@ -14,24 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from emitterclf.data_model import MAX_SEQ_LEN, PulseSequence
-from emitterclf.pulse_sim import (
-    VALUE_FLOOR,
-    ConstantPattern,
-    HopPattern,
-    JitterPattern,
-    StaggerPattern,
-)
+from emitterclf.pulse_sim import VALUE_FLOOR, CyclePattern, JitterPattern
 
 
 def _value_at(pat, t: int, rng) -> float:
-    if isinstance(pat, ConstantPattern):
-        return pat.value
-    if isinstance(pat, StaggerPattern):
-        return pat.values[t % len(pat.values)]
+    if isinstance(pat, CyclePattern):
+        return pat.values[(t // pat.dwell) % len(pat.values)]
     if isinstance(pat, JitterPattern):
         return pat.center * (1.0 + pat.deviation * rng.uniform(-1.0, 1.0))
-    if isinstance(pat, HopPattern):
-        return pat.values[(t // pat.dwell) % len(pat.values)]
     raise TypeError(f"not a pattern: {pat!r}")
 
 

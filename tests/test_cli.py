@@ -367,7 +367,35 @@ def test_gen_refuses_non_finite_pattern_values(tmp_path, capsys, key, value):
         # would draw values that overflow to inf
         ("sim.noise=1e306", "sim.noise: noise_fraction must lie in [0, 0.5], got 1e+306"),
         # the pattern's mean would overflow to inf, and with it the drawn PRI values
-        ("sim.class.0.pri=stagger,1e308,1e308", "sim.class.0.pri: stagger pattern's mean"),
+        ("sim.class.0.pri=stagger,1e308,1e308", "sim.class.0.pri: cycle pattern's mean"),
+        # malformed patterns (a wrong count of values, a token that is not a
+        # number) name their tokens and the expected form
+        pytest.param(
+            "sim.class.0.rf=hop",
+            "sim.class.0.rf: malformed hop pattern 'hop': expected 'hop <dwell> <v1> <v2> ...'",
+            id="malformed-hop-alone",
+        ),
+        pytest.param(
+            "sim.class.0.pri=constant,1,2",
+            "sim.class.0.pri: malformed constant pattern 'constant 1 2': expected 'constant <v>'",
+            id="malformed-constant-two-values",
+        ),
+        pytest.param(
+            "sim.class.0.pri=jitter,100",
+            "sim.class.0.pri: malformed jitter pattern 'jitter 100': "
+            "expected 'jitter <center> <deviation>'",
+            id="malformed-jitter-one-value",
+        ),
+        pytest.param(
+            "sim.class.0.pri=constant,abc",
+            "sim.class.0.pri: malformed constant pattern 'constant abc': expected 'constant <v>'",
+            id="malformed-constant-not-a-number",
+        ),
+        pytest.param(
+            "sim.class.0.rf=hop,x,9000",
+            "sim.class.0.rf: malformed hop pattern 'hop x 9000': expected 'hop <dwell> <v1>",
+            id="malformed-hop-dwell-x",
+        ),
     ],
 )
 def test_gen_refuses_a_dataset_that_load_would_refuse(tmp_path, capsys, value, named):

@@ -9,6 +9,7 @@ from emitterclf.config import (
     eval_params,
     load_config,
     sim_config,
+    split_params,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -19,8 +20,8 @@ def _sim(path):
     return sim_config(load_config(path))
 
 
-def _overridden(*items):
-    return lambda path: eval_params(apply_overrides(load_config(path), list(items)))
+def _overridden(*items, read=eval_params):
+    return lambda path: read(apply_overrides(load_config(path), list(items)))
 
 
 # case -> (file contents, what reads it, the refusal)
@@ -44,6 +45,26 @@ _REFUSALS = {
         "'sim.class.3.count' references class 3 >= sim.classes",
     ),
     "zero_replicates": (MICRO, _overridden("eval.replicates=0"), "eval.replicates must be >= 1"),
+    "split_fraction_above_one": (
+        MICRO,
+        _overridden("split.fraction=1.5", read=split_params),
+        "split.fraction: train_fraction must be in (0, 1), got 1.5",
+    ),
+    "class_count_below_two": (
+        MICRO,
+        _overridden("sim.class.0.count=1", read=sim_config),
+        "sim.class.0.count: class 0 needs at least 2 sequences, got 1",
+    ),
+    "length_min_below_seven": (
+        MICRO,
+        _overridden("sim.length_min=3", read=sim_config),
+        "sim.length_min, sim.length_max: need 7 <= min <= max <= 512, got (3, 24)",
+    ),
+    "length_min_above_max": (
+        MICRO,
+        _overridden("sim.length_min=30", read=sim_config),
+        "sim.length_min, sim.length_max: need 7 <= min <= max <= 512, got (30, 24)",
+    ),
 }
 
 

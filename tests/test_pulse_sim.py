@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from emitterclf import config as cfgmod
 from emitterclf.data_model import serialize_dataset
 from emitterclf.pulse_sim import (
-    ConstantPattern,
+    CyclePattern,
     EmitterSpec,
-    HopPattern,
     JitterPattern,
     SimConfig,
-    StaggerPattern,
     add_noise,
     generate_dataset,
     generate_sequence,
@@ -33,21 +31,21 @@ def _spec(pri, pw, rf, class_id=0):
 
 def test_stagger_readout_zero_noise():
     spec = _spec(
-        StaggerPattern((100.0, 120.0, 140.0)), ConstantPattern(1.0), ConstantPattern(9000.0)
+        CyclePattern((100.0, 120.0, 140.0)), CyclePattern((1.0,)), CyclePattern((9000.0,))
     )
     seq = generate_sequence(spec, 6, 0.0, derive_rng(0))
     assert list(seq.values[:, 0]) == [100.0, 120.0, 140.0, 100.0, 120.0, 140.0]
 
 
 def test_constant_rf_exact():
-    spec = _spec(ConstantPattern(500.0), ConstantPattern(1.0), ConstantPattern(9000.0))
+    spec = _spec(CyclePattern((500.0,)), CyclePattern((1.0,)), CyclePattern((9000.0,)))
     seq = generate_sequence(spec, 64, 0.0, derive_rng(1))
     assert np.all(seq.values[:, 2] == 9000.0)
     assert seq.label == 0
 
 
 def test_hop_pattern_dwell():
-    pat = HopPattern((9000.0, 9200.0), dwell=3)
+    pat = CyclePattern((9000.0, 9200.0), dwell=3)
     vals = list(pat.column(np.arange(8), None))
     assert vals == [9000.0, 9000.0, 9000.0, 9200.0, 9200.0, 9200.0, 9000.0, 9000.0]
 
@@ -65,21 +63,21 @@ def test_pattern_validation():
     with pytest.raises(ValueError):
         JitterPattern(100.0, 0.6)
     with pytest.raises(ValueError):
-        StaggerPattern(())
+        CyclePattern(())
     with pytest.raises(ValueError):
-        HopPattern((9000.0,), dwell=0)
+        CyclePattern((9000.0,), dwell=0)
     with pytest.raises(ValueError):
-        ConstantPattern(0.0)
+        CyclePattern((0.0,))
     nan, inf = float("nan"), float("inf")
     for make in (
-        lambda: ConstantPattern(nan),
-        lambda: ConstantPattern(inf),
-        lambda: StaggerPattern((100.0, nan)),
-        lambda: StaggerPattern((inf, 100.0)),
+        lambda: CyclePattern((nan,)),
+        lambda: CyclePattern((inf,)),
+        lambda: CyclePattern((100.0, nan)),
+        lambda: CyclePattern((inf, 100.0)),
         lambda: JitterPattern(inf, 0.1),
         lambda: JitterPattern(nan, 0.1),
         lambda: JitterPattern(100.0, nan),
-        lambda: HopPattern((5000.0, inf), dwell=2),
+        lambda: CyclePattern((5000.0, inf), dwell=2),
     ):
         with pytest.raises(ValueError, match="finite|deviation"):
             make()
@@ -88,8 +86,8 @@ def test_pattern_validation():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: StaggerPattern((1e308, 1e308)),
-        lambda: HopPattern((1.7e308, 1e308), dwell=1),
+        lambda: CyclePattern((1e308, 1e308)),
+        lambda: CyclePattern((1.7e308, 1e308), dwell=1),
         lambda: JitterPattern(1.5e308, 0.5),
     ],
     ids=["stagger-mean", "hop-mean", "jitter-hi"],
@@ -104,29 +102,31 @@ def test_pattern_refuses_an_overflowing_summary(make, recwarn):
 
 def test_emitter_spec_validation():
     with pytest.raises(ValueError, match="max PW"):
-        _spec(ConstantPattern(10.0), ConstantPattern(10.0), ConstantPattern(9000.0))
+        _spec(CyclePattern((10.0,)), CyclePattern((10.0,)), CyclePattern((9000.0,)))
+    # PRI and PW cycle at dwell 1 only, and RF never jitters
     with pytest.raises(ValueError, match="PRI pattern"):
-        _spec(HopPattern((100.0,), 1), ConstantPattern(1.0), ConstantPattern(9000.0))
+        _spec(CyclePattern((100.0, 120.0), 2), CyclePattern((1.0,)), CyclePattern((9000.0,)))
+    with pytest.raises(ValueError, match="PW pattern"):
+        _spec(CyclePattern((100.0,)), CyclePattern((1.0, 2.0), 3), CyclePattern((9000.0,)))
     with pytest.raises(ValueError, match="RF pattern"):
-        _spec(ConstantPattern(100.0), ConstantPattern(1.0), JitterPattern(9000.0, 0.1))
+        _spec(CyclePattern((100.0,)), CyclePattern((1.0,)), JitterPattern(9000.0, 0.1))
+    # RF may cycle several values at dwell 1, as `hop 1 ...` does
+    _spec(CyclePattern((100.0,)), CyclePattern((1.0,)), CyclePattern((9000.0, 9200.0)))
     # a NaN that got past the pattern checks still fails the PW < PRI check
-    pri = StaggerPattern((100.0, 140.0))
+    pri = CyclePattern((100.0, 140.0))
     object.__setattr__(pri, "values", (100.0, float("nan")))
     with pytest.raises(ValueError, match="max PW"):
-        _spec(pri, ConstantPattern(1.0), ConstantPattern(9000.0))
+        _spec(pri, CyclePattern((1.0,)), CyclePattern((9000.0,)))
 
 
-def format_pattern(p) -> str:
+def format_pattern(p, *, rf: bool) -> str:
     """The config-token form of a pattern, as `parse_pattern` reads it."""
-    if isinstance(p, ConstantPattern):
-        return f"constant {p.value:g}"
-    if isinstance(p, StaggerPattern):
-        return "stagger " + " ".join(f"{v:g}" for v in p.values)
     if isinstance(p, JitterPattern):
         return f"jitter {p.center:g} {p.deviation:g}"
-    if isinstance(p, HopPattern):
-        return f"hop {p.dwell} " + " ".join(f"{v:g}" for v in p.values)
-    raise TypeError(f"not a pattern: {p!r}")
+    values = " ".join(f"{v:g}" for v in p.values)
+    if len(p.values) == 1 and p.dwell == 1:
+        return f"constant {values}"
+    return f"hop {p.dwell} {values}" if rf else f"stagger {values}"
 
 
 def test_pattern_parse_format_round_trip():
@@ -135,18 +135,20 @@ def test_pattern_parse_format_round_trip():
         (["stagger", "100", "120", "140"], False),
         (["jitter", "100", "0.2"], False),
         (["hop", "3", "9000", "9200"], True),
+        (["hop", "1", "9000", "9200"], True),
+        (["hop", "4", "9000"], True),
     ]:
         pat = parse_pattern(tokens, rf=rf)
-        assert parse_pattern(format_pattern(pat).split(), rf=rf) == pat
+        assert parse_pattern(format_pattern(pat, rf=rf).split(), rf=rf) == pat
     with pytest.raises(ValueError, match="unknown"):
         parse_pattern(["hop", "3", "100"], rf=False)
 
 
 def _simconfig(noise=0.0, counts=(10,) * 3, lengths=(7, 16), seed=9):
     emitters = (
-        _spec(StaggerPattern((100.0, 130.0)), ConstantPattern(5.0), ConstantPattern(9000.0), 0),
-        _spec(JitterPattern(200.0, 0.2), ConstantPattern(6.0), ConstantPattern(3000.0), 1),
-        _spec(ConstantPattern(400.0), ConstantPattern(7.0), HopPattern((5000.0, 5500.0), 2), 2),
+        _spec(CyclePattern((100.0, 130.0)), CyclePattern((5.0,)), CyclePattern((9000.0,)), 0),
+        _spec(JitterPattern(200.0, 0.2), CyclePattern((6.0,)), CyclePattern((3000.0,)), 1),
+        _spec(CyclePattern((400.0,)), CyclePattern((7.0,)), CyclePattern((5000.0, 5500.0), 2), 2),
     )
     return SimConfig(
         emitters=emitters,
@@ -293,13 +295,11 @@ def test_sequence_order_independent_seeding():
 def _pattern(draw, kind, lo, hi):
     value = st.floats(lo, hi)
     if kind == "constant":
-        return ConstantPattern(draw(value))
+        return CyclePattern((draw(value),))
     if kind == "jitter":
         return JitterPattern(draw(value), draw(st.floats(0.0, 0.5)))
     values = tuple(draw(st.lists(value, min_size=1, max_size=5)))
-    if kind == "stagger":
-        return StaggerPattern(values)
-    return HopPattern(values, draw(st.integers(1, 40)))
+    return CyclePattern(values, 1 if kind == "stagger" else draw(st.integers(1, 40)))
 
 
 @pytest.mark.parametrize("rf_kind", ["constant", "hop"])

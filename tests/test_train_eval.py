@@ -12,11 +12,10 @@ from emitterclf.data_model import Dataset, PulseSequence, dataset_fingerprint
 from emitterclf.model import ARCHITECTURES, ModelConfig, build
 from emitterclf.normalize import fit_domain_stats
 from emitterclf.pulse_sim import (
-    ConstantPattern,
+    CyclePattern,
     EmitterSpec,
     JitterPattern,
     SimConfig,
-    StaggerPattern,
     generate_dataset,
 )
 from emitterclf.seeding import derive_rng
@@ -59,8 +58,8 @@ def _check_consistency(report, class_counts=None) -> None:
 
 def _separable_config(noise=0.0, counts=(12, 12), lengths=(7, 16), seed=21):
     emitters = (
-        EmitterSpec(0, StaggerPattern((100.0, 140.0)), ConstantPattern(5.0), ConstantPattern(9000.0)),
-        EmitterSpec(1, JitterPattern(300.0, 0.1), ConstantPattern(6.0), ConstantPattern(3000.0)),
+        EmitterSpec(0, CyclePattern((100.0, 140.0)), CyclePattern((5.0,)), CyclePattern((9000.0,))),
+        EmitterSpec(1, JitterPattern(300.0, 0.1), CyclePattern((6.0,)), CyclePattern((3000.0,))),
     )
     return SimConfig(
         emitters=emitters,
